@@ -283,7 +283,7 @@ struct BenchReport {
     /// an exit guard against superlinear regressions.
     enroll: EnrollBench,
     /// Throughput with bounded residency: idle pipelines snapshotted to an
-    /// in-memory store (full JSON encode/decode per round-trip) and
+    /// in-memory store (full binary encode/decode per round-trip) and
     /// rehydrated on submit. Decisions stay bit-identical to the unevicted
     /// engine (`tests/persist_parity.rs`); this measures what the churn
     /// costs.

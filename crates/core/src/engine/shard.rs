@@ -28,7 +28,7 @@
 //!                    ▼                 ▼                   ▼
 //!              ┌───────────────────────────────────────────────┐
 //!              │     SharedSnapshotStore (one mutex'd store)   │
-//!              │  per-user: snapshot JSON + ownership epoch    │
+//!              │ per-user: binary snapshot + ownership epoch   │
 //!              └───────────────────────────────────────────────┘
 //! ```
 //!

@@ -367,15 +367,23 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
+        let started = Arc::new(AtomicBool::new(false));
         let finished = Arc::new(AtomicBool::new(false));
-        let witness = finished.clone();
+        let (started_w, witness) = (started.clone(), finished.clone());
         let handle = spawn_cancelable(move |token| {
+            started_w.store(true, Ordering::SeqCst);
             while !token.is_canceled() {
                 std::thread::yield_now();
             }
             witness.store(true, Ordering::SeqCst);
             1
         });
+        // Drop only once the job runs: a handle dropped before the worker
+        // starts cancels it before `f` is ever called, and `finished` would
+        // never be set.
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
         let token = handle.token();
         drop(handle);
         assert!(token.is_canceled(), "drop must cancel");

@@ -19,10 +19,44 @@
 //!   events for windows *k+1..n* as one that never left memory (enforced by
 //!   `tests/persist_parity.rs` and the round-trip property suite).
 //! * [`SnapshotStore`] — pluggable storage, with [`MemorySnapshotStore`]
-//!   (JSON strings in a map — every save/load still exercises the wire
-//!   format) and [`FileSnapshotStore`] (one JSON file per user, written
+//!   (binary snapshots in a map — every save/load still exercises the wire
+//!   format) and [`FileSnapshotStore`] (one binary file per user, written
 //!   atomically) provided. The fleet engine drives either through its
 //!   idle-eviction policy.
+//!
+//! # Wire format
+//!
+//! A snapshot serializes to one [`serde::Value`] tree, and
+//! [`PipelineSnapshot::to_bytes`] writes that tree in a compact binary
+//! encoding — the only form the stores write:
+//!
+//! ```text
+//! snapshot := 89 53 59 53 4E 41 50 01   8-byte magic ("\x89SYSNAP\x01")
+//!             value
+//! value    := 00 | 01 | 02              null | false | true
+//!           | 03 varint(zigzag(i64))    signed integer
+//!           | 04 varint(u64)            unsigned integer above i64::MAX
+//!           | 05 f64                    raw little-endian bits
+//!           | 06 varint(len) UTF-8      string
+//!           | 07 varint(n) value{n}     array
+//!           | 08 varint(n) (varint(len) UTF-8 value){n}
+//!                                       object, field order preserved
+//! varint   := unsigned LEB128, at most 10 bytes
+//! ```
+//!
+//! Floats travel as raw bits, so the round-trip is bit-exact without any
+//! decimal formatting or parsing (non-finite values included — JSON writes
+//! those as `null`; [`PipelineSnapshot::validate`] stays the gate on what
+//! a pipeline may hold). The decoder treats its input as hostile: lengths
+//! are checked against the bytes remaining before allocating, over-long
+//! varints and nesting deeper than a fixed limit are rejected, and each
+//! failure is a typed [`PersistError`].
+//!
+//! JSON ([`PipelineSnapshot::to_json`] / [`PipelineSnapshot::from_json`])
+//! is the debug and golden-fixture export over the same tree. It is read
+//! as a legacy input too: [`PipelineSnapshot::from_bytes`] hands a document
+//! starting with `{` to the JSON reader, so snapshots written by older
+//! builds, and the committed golden fixture, keep loading.
 //!
 //! # Version & compatibility policy
 //!
@@ -31,14 +65,14 @@
 //! checked **before** the body is decoded:
 //!
 //! * A snapshot with the wrong magic is rejected with
-//!   [`PersistError::WrongFormat`] — it is some other JSON document.
+//!   [`PersistError::WrongFormat`] — it is some other document.
 //! * A snapshot with a different version is rejected with
 //!   [`PersistError::UnsupportedVersion`]. Version *N* readers never guess
 //!   at version *M* bodies; a future version bump must ship an explicit
 //!   migration that reads the old body shape.
-//! * A snapshot that parses but violates the schema (truncated JSON, a
-//!   matrix whose data length disagrees with its dimensions, ragged feature
-//!   buffers, a zero retrain period) is rejected with
+//! * A snapshot that is truncated or corrupt, or that decodes but violates
+//!   the schema (a matrix whose data length disagrees with its dimensions,
+//!   ragged feature buffers, a zero retrain period) is rejected with
 //!   [`PersistError::Malformed`]. Corruption is always a typed error,
 //!   never a panic and never a silently wrong pipeline.
 //!
@@ -77,6 +111,8 @@ use crate::server::NegativeEpoch;
 #[cfg(doc)]
 use crate::SmarterYou;
 
+mod wire;
+
 /// Format magic every pipeline snapshot starts with.
 pub const SNAPSHOT_FORMAT: &str = "smarteryou.pipeline";
 
@@ -95,8 +131,9 @@ pub enum PersistError {
         /// Version this build reads and writes.
         supported: u32,
     },
-    /// The document is not valid JSON, or decodes into state that violates
-    /// the schema's invariants (ragged buffers, inconsistent widths, …).
+    /// The document is truncated or corrupt (invalid binary or JSON), or
+    /// decodes into state that violates the schema's invariants (ragged
+    /// buffers, inconsistent widths, …).
     Malformed(String),
     /// A store was asked to rehydrate a user it holds no snapshot for.
     MissingSnapshot(UserId),
@@ -319,12 +356,40 @@ impl PipelineSnapshot {
         self.authenticator.is_some()
     }
 
-    /// Serializes to the canonical compact-JSON wire form.
+    /// Serializes to the binary wire form the stores write (see the
+    /// [module docs](self#wire-format)).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        wire::encode(&self.to_value())
+    }
+
+    /// Decodes and schema-checks a snapshot from its binary wire form. A
+    /// document starting with `{` is a legacy JSON snapshot and is read
+    /// through [`PipelineSnapshot::from_json`].
+    ///
+    /// # Errors
+    ///
+    /// * [`PersistError::WrongFormat`] for bytes that are neither a binary
+    ///   snapshot nor JSON, or a document of another format;
+    /// * [`PersistError::UnsupportedVersion`] from the envelope check,
+    ///   which runs before body decoding;
+    /// * [`PersistError::Malformed`] for truncated or corrupt bytes and
+    ///   invariant violations (see [`PipelineSnapshot::validate`]).
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
+        if bytes.first() == Some(&b'{') {
+            let json = std::str::from_utf8(bytes)
+                .map_err(|e| PersistError::Malformed(format!("legacy JSON snapshot: {e}")))?;
+            return Self::from_json(json);
+        }
+        Self::from_tree(&wire::decode(bytes)?)
+    }
+
+    /// Serializes to compact JSON: the debug and golden-fixture export.
+    /// Stores write [`PipelineSnapshot::to_bytes`].
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("snapshot data model always serializes")
     }
 
-    /// Parses and schema-checks a snapshot from its JSON wire form.
+    /// Parses and schema-checks a snapshot from its JSON form.
     ///
     /// # Errors
     ///
@@ -333,13 +398,17 @@ impl PipelineSnapshot {
     /// * [`PersistError::WrongFormat`] / [`PersistError::UnsupportedVersion`]
     ///   from the envelope check, which runs before body decoding.
     pub fn from_json(json: &str) -> Result<Self, PersistError> {
-        // One parse of the (large) document; the envelope is checked on
-        // the value tree before the body is decoded, so an incompatible
-        // snapshot still fails with a version error rather than a
-        // missing-field error from a different schema.
         let value: serde::Value =
             serde_json::from_str(json).map_err(|e| PersistError::Malformed(e.to_string()))?;
-        let header = SnapshotHeader::from_value(&value)
+        Self::from_tree(&value)
+    }
+
+    /// The decode steps both wire forms share. The envelope is checked on
+    /// the value tree before the body is decoded, so an incompatible
+    /// snapshot fails with a version error rather than a missing-field
+    /// error from a different schema.
+    fn from_tree(value: &serde::Value) -> Result<Self, PersistError> {
+        let header = SnapshotHeader::from_value(value)
             .map_err(|e| PersistError::Malformed(e.to_string()))?;
         if header.format != SNAPSHOT_FORMAT {
             return Err(PersistError::WrongFormat(header.format));
@@ -350,7 +419,7 @@ impl PipelineSnapshot {
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let snapshot = PipelineSnapshot::from_value(&value)
+        let snapshot = PipelineSnapshot::from_value(value)
             .map_err(|e| PersistError::Malformed(e.to_string()))?;
         snapshot.validate()?;
         Ok(snapshot)
@@ -589,13 +658,14 @@ pub trait SnapshotStore: fmt::Debug + Send {
     }
 }
 
-/// In-memory [`SnapshotStore`] keeping each snapshot as its serialized JSON
-/// wire form — saves and loads go through the full encode/decode path, so
-/// even in-process eviction proves the round-trip, and the stored bytes are
-/// exactly what a cross-process shard handoff would ship.
+/// In-memory [`SnapshotStore`] keeping each snapshot as its binary wire
+/// form ([`PipelineSnapshot::to_bytes`]) — saves and loads go through the
+/// full encode/decode path, so even in-process eviction proves the
+/// round-trip, and the stored bytes are exactly what a cross-process shard
+/// handoff would ship.
 #[derive(Debug, Default)]
 pub struct MemorySnapshotStore {
-    entries: HashMap<usize, String>,
+    entries: HashMap<usize, Vec<u8>>,
     epochs: HashMap<usize, u64>,
 }
 
@@ -607,20 +677,20 @@ impl MemorySnapshotStore {
 
     /// Total bytes of serialized snapshots held.
     pub fn stored_bytes(&self) -> usize {
-        self.entries.values().map(String::len).sum()
+        self.entries.values().map(Vec::len).sum()
     }
 }
 
 impl SnapshotStore for MemorySnapshotStore {
     fn save(&mut self, id: UserId, snapshot: &PipelineSnapshot) -> Result<(), PersistError> {
-        self.entries.insert(id.0, snapshot.to_json());
+        self.entries.insert(id.0, snapshot.to_bytes());
         Ok(())
     }
 
     fn load(&mut self, id: UserId) -> Result<Option<PipelineSnapshot>, PersistError> {
         self.entries
             .get(&id.0)
-            .map(|json| PipelineSnapshot::from_json(json))
+            .map(|bytes| PipelineSnapshot::from_bytes(bytes))
             .transpose()
     }
 
@@ -660,11 +730,11 @@ struct JournalRecord {
     /// For saves: the fence epoch the save carried (0 when unfenced).
     /// For acquires: the epoch being claimed.
     epoch: u64,
-    /// For saves: FNV-1a hash of the snapshot JSON being written, so
+    /// For saves: FNV-1a hash of the snapshot wire bytes being written, so
     /// recovery can tell whether the data write landed.
     hash: u64,
-    /// For saves: byte length of the snapshot JSON (a cheap pre-filter for
-    /// the hash comparison).
+    /// For saves: byte length of the snapshot wire bytes (a cheap
+    /// pre-filter for the hash comparison).
     len: u64,
 }
 
@@ -747,6 +817,41 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Start time of process `pid`, in clock ticks since boot: field 22 of
+/// `/proc/<pid>/stat`. `None` where procfs is absent or unreadable. With
+/// the PID it names a process uniquely, even across PID reuse.
+fn process_start_time(pid: u32) -> Option<u64> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // Field 2 is the command name in parentheses and may itself contain
+    // spaces or parentheses, so count fields from the last `)`: the field
+    // after it is field 3, making field 22 the 20th.
+    let after_comm = &stat[stat.rfind(')')? + 1..];
+    after_comm.split_whitespace().nth(19)?.parse().ok()
+}
+
+/// What this process writes into the lock files it creates:
+/// `pid:starttime`, or a bare `pid` where the start time is unavailable.
+fn own_lock_stamp() -> &'static str {
+    static STAMP: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    STAMP.get_or_init(|| {
+        let pid = std::process::id();
+        match process_start_time(pid) {
+            Some(start) => format!("{pid}:{start}"),
+            None => pid.to_string(),
+        }
+    })
+}
+
+/// Parses a lock stamp into `(pid, start time)`: `pid:starttime`, or the
+/// bare `pid` that older builds wrote. `None` for anything else.
+fn parse_lock_stamp(content: &str) -> Option<(u32, Option<u64>)> {
+    let content = content.trim();
+    match content.split_once(':') {
+        Some((pid, start)) => Some((pid.parse().ok()?, Some(start.parse().ok()?))),
+        None => Some((content.parse().ok()?, None)),
+    }
+}
+
 /// How long a lock attempt spins against a *live* holder before giving up
 /// with a typed error. Compound store ops are milliseconds; seconds of
 /// contention means something is wedged.
@@ -762,8 +867,11 @@ const LOCK_UNKNOWN_HOLDER_GRACE: Duration = Duration::from_secs(10);
 const ACQUIRE_RETRY_LIMIT: u32 = 64;
 
 /// File-backed [`SnapshotStore`]: one `<user>.snapshot.json` per user in a
-/// directory, written atomically (temp file + rename) so a crash mid-save
-/// never leaves a truncated snapshot under the user's name.
+/// directory, holding the binary wire form ([`PipelineSnapshot::to_bytes`])
+/// and written atomically (temp file + rename) so a crash mid-save never
+/// leaves a truncated snapshot under the user's name. The `.json` suffix is
+/// historical: directories written by older builds hold JSON under the
+/// same names, and [`SnapshotStore::load`] still reads them.
 ///
 /// # Cross-process crash safety
 ///
@@ -771,8 +879,10 @@ const ACQUIRE_RETRY_LIMIT: u32 = 64;
 ///
 /// * Every compound operation (fenced save, epoch acquire, remove) is
 ///   serialized by a per-user **lock file** (`<user>.lock`, created with
-///   `O_EXCL`, holding the owner's PID). A lock whose holder is provably
-///   dead is stolen and the dead holder's debris recovered first.
+///   `O_EXCL`, stamped `pid:starttime` by its owner). A lock whose holder
+///   is provably dead — its PID is gone, or now names a process with a
+///   different start time — is stolen and the dead holder's debris
+///   recovered first.
 /// * Each compound operation runs under a per-user **write-ahead journal**
 ///   (`<user>.journal`): intent record → data write → commit record →
 ///   journal removal, every step an atomic rename. A process killed at any
@@ -892,7 +1002,7 @@ impl FileSnapshotStore {
     /// Atomically writes `content` to `path` (temp file + fsync + rename +
     /// directory sync), so a crash mid-write never leaves a truncated file
     /// under the final name.
-    fn write_atomic(&self, path: &Path, content: &str) -> Result<(), PersistError> {
+    fn write_atomic(&self, path: &Path, content: &[u8]) -> Result<(), PersistError> {
         use std::io::Write;
         let tmp = path.with_extension(
             path.extension()
@@ -905,7 +1015,7 @@ impl FileSnapshotStore {
         // name after a crash.
         let mut file = std::fs::File::create(&tmp)
             .map_err(|e| PersistError::Io(format!("create {}: {e}", tmp.display())))?;
-        file.write_all(content.as_bytes())
+        file.write_all(content)
             .map_err(|e| PersistError::Io(format!("write {}: {e}", tmp.display())))?;
         file.sync_all()
             .map_err(|e| PersistError::Io(format!("sync {}: {e}", tmp.display())))?;
@@ -920,26 +1030,37 @@ impl FileSnapshotStore {
             .map_err(|e| PersistError::Io(format!("sync {}: {e}", self.dir.display())))
     }
 
+    /// Atomically replaces `stem`'s journal with `record`.
+    fn write_journal(&self, stem: &str, record: &JournalRecord) -> Result<(), PersistError> {
+        let text = serde_json::to_string(record).expect("journal record serializes");
+        self.write_atomic(&self.journal_path_of(stem), text.as_bytes())
+    }
+
     /// Whether the process named in a lock file is provably no longer
     /// running. Conservative: "unknown" means *not* dead (except for very
     /// old locks with no readable PID).
     fn lock_holder_dead(path: &Path) -> bool {
         let content = std::fs::read_to_string(path).unwrap_or_default();
-        match content.trim().parse::<u32>() {
-            Ok(pid) if pid == std::process::id() => false,
-            Ok(pid) => {
-                if cfg!(target_os = "linux") {
-                    // PID liveness via procfs. A recycled PID reads as
-                    // alive — the safe direction (we wait instead of
-                    // stealing a live holder's lock).
-                    !Path::new("/proc").join(pid.to_string()).exists()
-                } else {
-                    Self::lock_older_than(path, LOCK_UNKNOWN_HOLDER_GRACE)
+        match parse_lock_stamp(&content) {
+            Some((pid, stamped_start)) if cfg!(target_os = "linux") => {
+                if !Path::new("/proc").join(pid.to_string()).exists() {
+                    return true;
                 }
+                // A live PID is the holder only if it is the same process:
+                // one recycled since the lock was stamped started later.
+                // A legacy bare-PID stamp, or an unreadable start time,
+                // reads as alive — the safe direction (we wait instead of
+                // stealing a live holder's lock).
+                matches!(
+                    (stamped_start, process_start_time(pid)),
+                    (Some(stamped), Some(now)) if stamped != now
+                )
             }
-            // The holder died between creating the lock and writing its
-            // PID (or the file is unreadable): only age can convict it.
-            Err(_) => Self::lock_older_than(path, LOCK_UNKNOWN_HOLDER_GRACE),
+            Some((pid, _)) if pid == std::process::id() => false,
+            // No liveness probe on this platform, or the holder died
+            // between creating the lock and stamping it (or the file is
+            // unreadable): only age can convict it.
+            _ => Self::lock_older_than(path, LOCK_UNKNOWN_HOLDER_GRACE),
         }
     }
 
@@ -968,9 +1089,9 @@ impl FileSnapshotStore {
                 .open(&path)
             {
                 Ok(mut file) => {
-                    // Best-effort PID stamp: failing to write it only
-                    // degrades a future staleness check to the age rule.
-                    let _ = write!(file, "{}", std::process::id());
+                    // Best-effort stamp: failing to write it only degrades
+                    // a future staleness check to the age rule.
+                    let _ = file.write_all(own_lock_stamp().as_bytes());
                     let _ = file.sync_all();
                     let guard = StemLock { path };
                     // Whoever wins the lock inherits the duty of resolving
@@ -1179,27 +1300,20 @@ impl FileSnapshotStore {
                 return Err(PersistError::StaleEpoch { id, held, stored });
             }
         }
-        let json = snapshot.to_json();
+        let bytes = snapshot.to_bytes();
         let mut record = JournalRecord {
             op: "save".to_string(),
             state: "intent".to_string(),
             epoch: fence.unwrap_or(0),
-            hash: fnv1a(json.as_bytes()),
-            len: json.len() as u64,
+            hash: fnv1a(&bytes),
+            len: bytes.len() as u64,
         };
-        let jpath = self.journal_path_of(&stem);
-        self.write_atomic(
-            &jpath,
-            &serde_json::to_string(&record).expect("journal record serializes"),
-        )?;
+        self.write_journal(&stem, &record)?;
         self.fault_hit(points::SAVE_INTENT);
-        self.write_atomic(&self.snapshot_path_of(&stem), &json)?;
+        self.write_atomic(&self.snapshot_path_of(&stem), &bytes)?;
         self.fault_hit(points::SAVE_DATA);
         record.state = "commit".to_string();
-        self.write_atomic(
-            &jpath,
-            &serde_json::to_string(&record).expect("journal record serializes"),
-        )?;
+        self.write_journal(&stem, &record)?;
         self.fault_hit(points::SAVE_COMMIT);
         self.remove_journal(&stem)
     }
@@ -1224,8 +1338,8 @@ impl SnapshotStore for FileSnapshotStore {
 
     fn load(&mut self, id: UserId) -> Result<Option<PipelineSnapshot>, PersistError> {
         let path = self.snapshot_path_of(&id.to_string());
-        match std::fs::read_to_string(&path) {
-            Ok(json) => PipelineSnapshot::from_json(&json).map(Some),
+        match std::fs::read(&path) {
+            Ok(bytes) => PipelineSnapshot::from_bytes(&bytes).map(Some),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(PersistError::Io(format!("read {}: {e}", path.display()))),
         }
@@ -1242,11 +1356,7 @@ impl SnapshotStore for FileSnapshotStore {
             hash: 0,
             len: 0,
         };
-        let jpath = self.journal_path_of(&stem);
-        self.write_atomic(
-            &jpath,
-            &serde_json::to_string(&record).expect("journal record serializes"),
-        )?;
+        self.write_journal(&stem, &record)?;
         let path = self.snapshot_path_of(&stem);
         match std::fs::remove_file(&path) {
             Ok(()) => {}
@@ -1299,19 +1409,12 @@ impl SnapshotStore for FileSnapshotStore {
             hash: 0,
             len: 0,
         };
-        let jpath = self.journal_path_of(&stem);
-        self.write_atomic(
-            &jpath,
-            &serde_json::to_string(&record).expect("journal record serializes"),
-        )?;
+        self.write_journal(&stem, &record)?;
         self.fault_hit(points::ACQUIRE_INTENT);
-        self.write_atomic(&self.epoch_path_of(&stem), &next.to_string())?;
+        self.write_atomic(&self.epoch_path_of(&stem), next.to_string().as_bytes())?;
         self.fault_hit(points::ACQUIRE_EPOCH);
         record.state = "commit".to_string();
-        self.write_atomic(
-            &jpath,
-            &serde_json::to_string(&record).expect("journal record serializes"),
-        )?;
+        self.write_journal(&stem, &record)?;
         self.fault_hit(points::ACQUIRE_COMMIT);
         self.remove_journal(&stem)?;
         Ok(next)
@@ -1484,6 +1587,44 @@ mod tests {
         assert_eq!(snap, back);
         assert_eq!(back.version(), SNAPSHOT_VERSION);
         assert!(!back.is_enrolled());
+    }
+
+    #[test]
+    fn binary_roundtrip_agrees_with_json_and_reads_legacy_json() {
+        let snap = minimal_snapshot();
+        let bytes = snap.to_bytes();
+        let json = snap.to_json();
+        assert!(bytes.starts_with(&wire::MAGIC));
+        assert!(
+            bytes.len() < json.len(),
+            "{} vs {}",
+            bytes.len(),
+            json.len()
+        );
+        let back = PipelineSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(back, snap);
+        assert_eq!(back, PipelineSnapshot::from_json(&json).unwrap());
+        // A legacy JSON snapshot handed to the binary reader still loads.
+        assert_eq!(PipelineSnapshot::from_bytes(json.as_bytes()).unwrap(), snap);
+        assert!(matches!(
+            PipelineSnapshot::from_bytes(b"{\"format\":"),
+            Err(PersistError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn binary_truncation_at_every_offset_is_malformed() {
+        let bytes = minimal_snapshot().to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    PipelineSnapshot::from_bytes(&bytes[..cut]),
+                    Err(PersistError::Malformed(_))
+                ),
+                "truncation at byte {cut} of {}",
+                bytes.len()
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Cross-process ownership protocol suite for [`FileSnapshotStore`]: the
 //! epoch compare-and-swap under concurrent acquirers, the epoch tombstone
 //! on remove, typed corruption errors, orphan-temp sweeping, dead-holder
-//! lock stealing, and write-ahead-journal recovery at every labeled kill
+//! lock stealing (PID reuse included), and write-ahead-journal recovery at
+//! every labeled kill
 //! point (panic-mode fault injection — the crash-faithful abort-mode
 //! matrix lives in `tests/crash_recovery.rs` at the workspace root).
 
@@ -286,6 +287,43 @@ fn dead_holder_lock_is_stolen_live_holder_is_respected() {
         Some(JournalResolution::AcquireRolledBack { to: 2 })
     );
     assert_eq!(reopened.epoch(id).unwrap(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A lock stamped `pid:starttime` names one process even after its PID is
+/// recycled: a live PID whose start time differs from the stamp belongs to
+/// a newer process, so the stamping holder is dead and its lock is stolen;
+/// a matching start time is the holder itself and is respected.
+#[cfg(target_os = "linux")]
+#[test]
+fn lock_naming_a_recycled_pid_is_stolen() {
+    let pid = std::process::id();
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+    // Field 22 (start time), counted from after the parenthesized name.
+    let start: u64 = stat[stat.rfind(')').unwrap() + 1..]
+        .split_whitespace()
+        .nth(19)
+        .unwrap()
+        .parse()
+        .unwrap();
+
+    let dir = temp_store_dir("pid-reuse");
+    let id = UserId(8);
+    let lock = dir.join(format!("{id}.lock"));
+    FileSnapshotStore::new(&dir).unwrap();
+
+    // Our PID, but a process that started at another time: recycled.
+    std::fs::write(&lock, format!("{pid}:{}", start + 1)).unwrap();
+    let mut store = FileSnapshotStore::new(&dir).unwrap();
+    assert_eq!(store.recovery_report().stale_locks, 1);
+    assert!(!lock.exists());
+    assert_eq!(store.acquire(id).unwrap(), 1);
+
+    // Our PID and our start time: the live holder.
+    std::fs::write(&lock, format!("{pid}:{start}")).unwrap();
+    let reopened = FileSnapshotStore::new(&dir).unwrap();
+    assert_eq!(reopened.recovery_report().stale_locks, 0);
+    assert!(lock.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,8 +1,9 @@
 //! Property suite for the pipeline snapshot format: arbitrary pipelines —
 //! random seeds, contexts, enrollment-buffer fill levels, and mid-retrain
 //! tracker states — must satisfy `restore(snapshot(p)) == p` field for
-//! field **through the JSON wire form**, and corrupted or truncated
-//! snapshots must be rejected with a typed error, never a panic.
+//! field **through the binary wire form** (and decode to the same snapshot
+//! through the JSON export), and corrupted, truncated or forged snapshots
+//! in either form must be rejected with a typed error, never a panic.
 
 use std::sync::{Arc, OnceLock};
 
@@ -147,13 +148,17 @@ proptest! {
         let (mut original, mut gen) =
             arbitrary_pipeline(seed, user, enroll_rounds, auth_windows, period);
 
-        // Snapshot → JSON → parse → restore.
+        // Snapshot → bytes → decode → restore.
         let snap = original.snapshot();
-        let wire = snap.to_json();
-        let parsed = PipelineSnapshot::from_json(&wire);
+        let wire = snap.to_bytes();
+        let parsed = PipelineSnapshot::from_bytes(&wire);
         prop_assert!(parsed.is_ok(), "valid wire form rejected: {parsed:?}");
         let parsed = parsed.unwrap();
         prop_assert_eq!(&snap, &parsed);
+        // Both encodings of one tree decode to the same snapshot.
+        let via_json = PipelineSnapshot::from_json(&snap.to_json());
+        prop_assert!(via_json.is_ok(), "JSON export rejected: {via_json:?}");
+        prop_assert_eq!(&parsed, &via_json.unwrap());
         let restored = SmarterYou::restore(parsed, world().server.clone());
         prop_assert!(restored.is_ok(), "restore failed: {restored:?}");
         let mut restored = restored.unwrap();
@@ -219,6 +224,126 @@ proptest! {
         bytes[pos] = bytes[pos].wrapping_add(1).clamp(0x20, 0x7e);
         if let Ok(s) = String::from_utf8(bytes) {
             let _ = PipelineSnapshot::from_json(&s);
+        }
+    }
+}
+
+/// The binary wire form of one mid-retrain pipeline, shared by the
+/// hostile-input properties below.
+fn binary_wire() -> &'static [u8] {
+    static WIRE: OnceLock<Vec<u8>> = OnceLock::new();
+    WIRE.get_or_init(|| arbitrary_pipeline(42, 0, 16, 6, 4).0.snapshot().to_bytes())
+}
+
+/// The errors a decoder may answer hostile input with.
+fn is_typed_decode_error(e: &PersistError) -> bool {
+    matches!(
+        e,
+        PersistError::Malformed(_)
+            | PersistError::WrongFormat(_)
+            | PersistError::UnsupportedVersion { .. }
+    )
+}
+
+/// Unsigned LEB128, as the wire format writes lengths and integers.
+fn varint(mut n: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+    out
+}
+
+fn replace_first(hay: &[u8], needle: &[u8], with: &[u8]) -> Vec<u8> {
+    let at = hay
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("pattern present in the wire form");
+    [&hay[..at], with, &hay[at + needle.len()..]].concat()
+}
+
+// Layout constants from the wire-format table in `persist`'s module docs.
+const MAGIC_LEN: usize = 8;
+const TAG_INT: u8 = 0x03;
+const TAG_STR: u8 = 0x06;
+const TAG_ARRAY: u8 = 0x07;
+const TAG_OBJECT: u8 = 0x08;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn hostile_binary_snapshots_are_typed_errors(
+        params in (
+            (0..1_000_000usize, 0..1_000_000usize, 0..8u32), // cut, flip position, flip bit
+            (1..u64::MAX / 2, 10..40usize, 65..20_000usize),  // length excess, varint bytes, depth
+            (2..100_000u32, 0..u64::MAX),                     // future version, bad magic
+        )
+    ) {
+        let ((cut, flip_at, bit), (excess, varint_len, depth), (version, magic)) = params;
+        let wire = binary_wire();
+        let magic_bytes = &wire[..MAGIC_LEN];
+        let with_magic = |body: &[u8]| [magic_bytes, body].concat();
+        let malformed = |bytes: &[u8]| {
+            matches!(PipelineSnapshot::from_bytes(bytes), Err(PersistError::Malformed(_)))
+        };
+
+        // Truncation anywhere.
+        let at = cut * wire.len() / 1_000_000;
+        prop_assert!(malformed(&wire[..at]), "truncation at byte {at}");
+
+        // A flipped bit anywhere: a different snapshot or a typed error.
+        let mut flipped = wire.to_vec();
+        flipped[flip_at * wire.len() / 1_000_000] ^= 1 << bit;
+        if let Err(e) = PipelineSnapshot::from_bytes(&flipped) {
+            prop_assert!(is_typed_decode_error(&e), "untyped error {e:?}");
+        }
+
+        // Length prefixes claiming more than the bytes remaining — mostly
+        // far more than any allocator could serve — for a string, an array
+        // and an object: rejected before allocating.
+        let tail = &wire[MAGIC_LEN..];
+        let claim = tail.len() as u64 + excess;
+        for tag in [TAG_STR, TAG_ARRAY, TAG_OBJECT] {
+            let forged = with_magic(&[&[tag][..], &varint(claim), tail].concat());
+            prop_assert!(malformed(&forged), "tag {tag:#04x} claiming {claim}");
+        }
+
+        // A varint running past 64 bits.
+        let mut long = vec![TAG_INT];
+        long.extend(std::iter::repeat_n(0xff, varint_len));
+        long.push(0x01);
+        prop_assert!(malformed(&with_magic(&long)));
+
+        // Nesting deeper than the decoder's limit, however deep.
+        let mut nested = [TAG_ARRAY, 0x01].repeat(depth);
+        nested.push(0x00);
+        prop_assert!(malformed(&with_magic(&nested)));
+
+        // A future schema version: typed, checked before the body.
+        let future = replace_first(
+            wire,
+            &[b"\x07version".as_slice(), &[TAG_INT], &varint(2)].concat(),
+            &[b"\x07version".as_slice(), &[TAG_INT], &varint(2 * u64::from(version))].concat(),
+        );
+        prop_assert!(
+            matches!(
+                PipelineSnapshot::from_bytes(&future),
+                Err(PersistError::UnsupportedVersion { found, supported: 1 }) if found == version
+            ),
+            "version {version}"
+        );
+
+        // Any other 8-byte lead is some other document.
+        let alien_magic = magic.to_le_bytes();
+        if alien_magic != magic_bytes && alien_magic[0] != b'{' {
+            let alien = [&alien_magic[..], tail].concat();
+            prop_assert!(matches!(
+                PipelineSnapshot::from_bytes(&alien),
+                Err(PersistError::WrongFormat(_))
+            ));
         }
     }
 }
@@ -316,6 +441,16 @@ fn versioned_header_mismatch_is_a_typed_error() {
     assert!(matches!(
         PipelineSnapshot::from_json(&alien),
         Err(PersistError::WrongFormat(f)) if f == "acme.toaster"
+    ));
+    // The binary form carries the same envelope.
+    let alien = replace_first(
+        &sys.snapshot().to_bytes(),
+        b"smarteryou.pipeline",
+        b"acme.toaster.v2.bin",
+    );
+    assert!(matches!(
+        PipelineSnapshot::from_bytes(&alien),
+        Err(PersistError::WrongFormat(f)) if f == "acme.toaster.v2.bin"
     ));
 
     // Dropping the header entirely is malformed, not a panic.

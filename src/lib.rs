@@ -54,7 +54,7 @@
 //! how many pipelines stay resident:
 //! [`FleetEngine::with_eviction`](core::engine::FleetEngine::with_eviction)
 //! snapshots the least recently submitted pipelines into a pluggable
-//! [`SnapshotStore`](core::persist::SnapshotStore) (versioned JSON wire
+//! [`SnapshotStore`](core::persist::SnapshotStore) (versioned binary wire
 //! format, see [`core::persist`]) and rehydrates them lazily on submit —
 //! with decisions, scores, and retrain events **bit-identical** to a
 //! never-evicted engine (`tests/persist_parity.rs`). Ticks cost

@@ -18,12 +18,14 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use smarteryou::core::persist::PipelineSnapshot;
+use smarteryou::core::persist::{FileSnapshotStore, PipelineSnapshot, SnapshotStore};
 use smarteryou::core::{
     ContextDetector, ContextDetectorConfig, DeviceSet, FeatureExtractor, ResponsePolicy,
     SmarterYou, SystemConfig, TrainingServer, SNAPSHOT_VERSION,
 };
-use smarteryou::sensors::{Population, RawContext, TraceGenerator, UsageContext, WindowSpec};
+use smarteryou::sensors::{
+    Population, RawContext, TraceGenerator, UsageContext, UserId, WindowSpec,
+};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures")
@@ -171,6 +173,40 @@ fn restores_committed_golden_snapshot() {
     // is identical to parse(x).
     let again = PipelineSnapshot::from_json(&snapshot.to_json()).expect("reserialize");
     assert_eq!(again, snapshot);
+}
+
+/// A store directory written by a build that stored JSON: the golden
+/// fixture, copied in under a user's snapshot name, loads through the
+/// store's binary reader and keeps its pinned behaviour — and re-saving it
+/// (now binary) changes nothing.
+#[test]
+fn file_store_loads_a_legacy_json_snapshot() {
+    let dir =
+        std::env::temp_dir().join(format!("smarteryou-snapshot-compat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("store dir");
+    std::fs::copy(snapshot_path(), dir.join("user00.snapshot.json")).expect("copy golden fixture");
+    let mut store = FileSnapshotStore::new(&dir).expect("store opens");
+    let id = UserId(0);
+    let snapshot = store
+        .load(id)
+        .expect("legacy JSON snapshot loads")
+        .expect("snapshot present");
+
+    let expected: GoldenExpectation = serde_json::from_str(
+        &std::fs::read_to_string(expected_path()).expect("expected-values fixture missing"),
+    )
+    .expect("expected-values fixture parses");
+    let got = expectation_for(&snapshot, Arc::new(Mutex::new(TrainingServer::new())));
+    assert_eq!(got, expected, "legacy snapshot behaviour diverged");
+
+    store.save(id, &snapshot).expect("re-save");
+    assert_ne!(
+        std::fs::read(dir.join("user00.snapshot.json")).expect("re-saved file")[0],
+        b'{',
+        "re-saved in the binary form"
+    );
+    assert_eq!(store.load(id).expect("binary reload"), Some(snapshot));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
