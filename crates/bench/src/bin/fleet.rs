@@ -245,16 +245,15 @@ struct KernelRow {
     ops: usize,
     reference_ns_per_op: f64,
     fast_ns_per_op: f64,
-    /// `reference / fast` — the exit guard fails the run if any fast path
-    /// is materially slower than its scalar reference.
+    /// `reference / fast` — the exit guard fails the run if any kernel is
+    /// materially slower than its scalar reference.
     speedup: f64,
 }
 
-/// Microbenches for the vectorized kernels at the deployed shapes: the
-/// fused single-pass summary and 4-lane batched spectrum at the 300-sample
-/// window, the chunked magnitude kernel, and the cache-blocked RBF Gram at
-/// the enrollment matrix shape. Each row times the scalar reference against
-/// the fast path the fleet rows above actually ran.
+/// Microbenches for the vectorized kernels at the deployed 300-sample
+/// window: the one-pass summary, the chunked magnitude kernel and the
+/// 4-lane batched spectrum. Each row times a scalar reference against the
+/// kernel the fleet rows above actually ran.
 #[derive(Debug, Serialize)]
 struct KernelBench {
     rows: Vec<KernelRow>,
@@ -309,9 +308,9 @@ struct BenchReport {
     /// Results agree to 1e-6 (`tests/training_parity.rs`); the storm row
     /// must run with zero true fit-cache misses.
     retrain: RetrainBench,
-    /// Vectorized-kernel microbenches (fused summary, chunked magnitude,
-    /// batched spectrum, blocked Gram) — fast vs scalar reference, with an
-    /// exit guard that no fast path regressed below its reference.
+    /// Vectorized-kernel microbenches (one-pass summary, chunked magnitude,
+    /// batched spectrum) against scalar references, with an exit guard
+    /// that no kernel regressed below its reference.
     kernels: KernelBench,
     spectrum_microbench: SpectrumMicrobench,
 }
@@ -933,16 +932,14 @@ fn measure_retrain(num_users: usize, rounds: usize) -> RetrainBench {
     }
 }
 
-/// Times each vectorized kernel against its scalar reference at the
-/// deployed shapes. Every "fast" column here is the exact code the fleet
-/// rows above ran; the references are the flag-off paths the parity suites
-/// pin. A magnitude-stream-shaped signal (gravity offset + small
-/// fluctuations) keeps the fused variance in its numerically interesting
-/// regime.
+/// Times each vectorized kernel against a scalar reference at the deployed
+/// shapes. Every "fast" column here is the exact code the fleet rows above
+/// ran; each reference is the scalar code it replaced, inlined here where
+/// the library no longer ships it. A magnitude-stream-shaped signal
+/// (gravity offset + small fluctuations) keeps the one-pass variance in
+/// its numerically interesting regime.
 fn measure_kernels() -> KernelBench {
     use smarteryou_dsp::{axis_magnitude, magnitude_series_into, BatchSpectrumScratch};
-    use smarteryou_linalg::Matrix;
-    use smarteryou_ml::Kernel;
     use smarteryou_stats::Summary;
 
     let mut rows = Vec::new();
@@ -972,22 +969,48 @@ fn measure_kernels() -> KernelBench {
             });
         };
 
-    // Fused single-pass summary at the 300-sample magnitude stream.
+    // One-pass 4-lane summary at the 300-sample magnitude stream; the
+    // reference is the two-pass scalar loop it replaced (sum/min/max in
+    // slice order, then the centred sum of squares).
     let signal: Vec<f64> = (0..WINDOW_SAMPLES)
         .map(|i| 9.81 + (i as f64 * 0.23).sin() + 0.4 * (i as f64 * 0.71).cos())
         .collect();
+    let two_pass = |data: &[f64]| {
+        let n = data.len();
+        let mut sum = 0.0f64;
+        let mut min = f64::NAN;
+        let mut max = f64::NAN;
+        for &v in data {
+            sum += v;
+            min = if min.is_nan() { v } else { min.min(v) };
+            max = if max.is_nan() { v } else { max.max(v) };
+        }
+        let mean = if n == 0 { f64::NAN } else { sum / n as f64 };
+        let variance = if n < 2 {
+            f64::NAN
+        } else {
+            data.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64
+        };
+        Summary {
+            count: n,
+            mean,
+            variance,
+            min,
+            max,
+        }
+    };
     let iters = 50_000usize;
     time(
         "summary_300",
         iters,
         &mut || {
             for _ in 0..iters {
-                std::hint::black_box(Summary::from_slice(std::hint::black_box(&signal)));
+                std::hint::black_box(two_pass(std::hint::black_box(&signal)));
             }
         },
         &mut || {
             for _ in 0..iters {
-                std::hint::black_box(Summary::from_slice_fused(std::hint::black_box(&signal)));
+                std::hint::black_box(Summary::from_slice(std::hint::black_box(&signal)));
             }
         },
     );
@@ -1056,32 +1079,6 @@ fn measure_kernels() -> KernelBench {
         },
     );
 
-    // Cache-blocked RBF Gram at the enrollment shape (data_size positives
-    // per context + sampled negatives ≈ 120 rows × 28 features).
-    let (n, m) = (120usize, 28usize);
-    let data: Vec<f64> = (0..n * m)
-        .map(|i| ((i * 37 % 101) as f64 - 50.0) / 7.0)
-        .collect();
-    let xmat = Matrix::from_vec(n, m, data).expect("sized");
-    let kernel = Kernel::Rbf {
-        gamma: 1.0 / m as f64,
-    };
-    let grams = 400usize;
-    time(
-        "gram_rbf_120x28",
-        grams,
-        &mut || {
-            for _ in 0..grams {
-                std::hint::black_box(kernel.gram(std::hint::black_box(&xmat)));
-            }
-        },
-        &mut || {
-            for _ in 0..grams {
-                std::hint::black_box(kernel.gram_blocked(std::hint::black_box(&xmat)));
-            }
-        },
-    );
-
     KernelBench { rows }
 }
 
@@ -1144,11 +1141,6 @@ fn main() {
         "fleet",
         "batched multi-user scoring throughput (FleetEngine::tick, 300-sample windows)",
     );
-    // Benchmarks run the vectorized configuration end to end: blocked Gram
-    // for every trainer built from here on (enrollment fits, retrains) and
-    // fast extraction on every fixture engine. The parity suites leave both
-    // flags off, pinning the reference paths bit-identical to the seed.
-    smarteryou_ml::set_fast_gram_default(true);
     let sizes: &[usize] = if quick {
         &[100, 1_000]
     } else {
@@ -1187,7 +1179,7 @@ fn main() {
     println!();
     let fallbacks = dft_fallback_count() - baseline;
 
-    // Vectorized kernels, fast vs scalar reference.
+    // Vectorized kernels against the scalar code they replaced.
     let kernels = measure_kernels();
     println!();
 
@@ -1290,14 +1282,14 @@ fn main() {
         }
     }
     // Every vectorized kernel must actually beat (or at least match) its
-    // scalar reference — a fast path slower than the code it replaces is a
+    // scalar reference — a kernel slower than the code it replaced is a
     // regression however the fleet rows look. 10% headroom absorbs timer
     // noise on the cheaper kernels.
     for row in &report.kernels.rows {
         if row.fast_ns_per_op > row.reference_ns_per_op * 1.10 {
             eprintln!(
-                "FAIL: kernel {} fast path is slower than its scalar reference \
-                 ({:.1} ns/op vs {:.1} ns/op) — the vectorized path must not regress",
+                "FAIL: kernel {} is slower than its scalar reference \
+                 ({:.1} ns/op vs {:.1} ns/op) — the vectorized kernel must not regress",
                 row.kernel, row.fast_ns_per_op, row.reference_ns_per_op
             );
             std::process::exit(1);
@@ -1305,9 +1297,9 @@ fn main() {
     }
     // Fleet throughput must stay above the seed per-core floor. The floors
     // are the slowest committed pre-vectorization rows (windows/sec on the
-    // 1-core reference runner) with a 0.9× noise margin; the fast path is
-    // expected to clear them by ≥2×, so tripping this guard means the
-    // vectorized extraction stack regressed badly, not that a run was
+    // 1-core reference runner) with a 0.9× noise margin; the vectorized
+    // kernels are expected to clear them by ≥2×, so tripping this guard
+    // means the extraction stack regressed badly, not that a run was
     // merely noisy.
     const SEED_FLOORS: &[(usize, usize, f64)] = &[
         (100, 1, 9_008.0),
@@ -1328,8 +1320,8 @@ fn main() {
             if row.windows_per_sec_per_core < floor * 0.9 {
                 eprintln!(
                     "FAIL: fleet row ({} users, {} win/user/tick) ran at {:.0} windows/sec/core, \
-                     below the seed floor of {:.0} — the fast path must never be slower than \
-                     the scalar seed",
+                     below the seed floor of {:.0} — the vectorized kernels must never be \
+                     slower than the scalar seed",
                     size.users, row.windows_per_user_per_tick, row.windows_per_sec_per_core, floor
                 );
                 std::process::exit(1);

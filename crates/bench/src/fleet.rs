@@ -298,10 +298,7 @@ impl FleetFixture {
         // harvested feature buffers through the batched entry point below.
         let buffers = harvest_enrollment_buffers(&world, seed)?;
 
-        // Benchmarks run the vectorized fast-extraction path (the deployed
-        // configuration); the parity suites exercise the scalar reference,
-        // which is the library default.
-        let mut engine = FleetEngine::new().with_fast_extraction(true);
+        let mut engine = FleetEngine::new();
         let mut profile_of = Vec::with_capacity(num_users);
         for u in 0..num_users {
             let profile = u % world.profiles;
@@ -492,13 +489,11 @@ impl ShardFixture {
         let world = build_world(num_users, window_secs, seed)?;
         let buffers = harvest_enrollment_buffers(&world, seed)?;
 
-        // Same as `FleetFixture`: benches run the fast-extraction path.
         let mut fleet = ShardedFleet::new(
             num_shards,
             Box::new(MemorySnapshotStore::new()),
             capacity_per_shard,
-        )
-        .with_fast_extraction(true);
+        );
         let mut profile_of = Vec::with_capacity(num_users);
         for u in 0..num_users {
             let profile = u % world.profiles;

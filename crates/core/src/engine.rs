@@ -225,12 +225,6 @@ pub struct FleetEngine {
     /// Attached training service for deferred retrains. `None` for engines
     /// whose pipelines all retrain inline.
     training: Option<TrainingState>,
-    /// Whether pipelines owned by this engine run the vectorized
-    /// fast-extraction path (see [`SmarterYou::set_fast_extraction`]).
-    /// Applied to every pipeline on registration and re-applied after
-    /// every snapshot restore, because the flag is runtime-only and never
-    /// persisted.
-    fast_extraction: bool,
 }
 
 impl FleetEngine {
@@ -238,30 +232,6 @@ impl FleetEngine {
     /// registered pipeline stays resident).
     pub fn new() -> Self {
         FleetEngine::default()
-    }
-
-    /// Builder form of [`FleetEngine::set_fast_extraction`].
-    pub fn with_fast_extraction(mut self, on: bool) -> Self {
-        self.set_fast_extraction(on);
-        self
-    }
-
-    /// Switches every pipeline this engine owns (and every pipeline it
-    /// registers or rehydrates from now on) between the vectorized
-    /// fast-extraction path and the scalar reference path. The flag is
-    /// runtime state, not model state: snapshots never carry it, so the
-    /// engine re-applies its setting whenever a pipeline is restored.
-    pub fn set_fast_extraction(&mut self, on: bool) {
-        self.fast_extraction = on;
-        for slot in &mut self.resident {
-            slot.pipeline.set_fast_extraction(on);
-        }
-    }
-
-    /// Whether this engine's pipelines use the vectorized fast-extraction
-    /// path.
-    pub fn fast_extraction(&self) -> bool {
-        self.fast_extraction
     }
 
     /// Builder form of [`FleetEngine::enable_eviction`].
@@ -464,12 +434,10 @@ impl FleetEngine {
     /// [`CoreError::AlreadyRegistered`] if the user is already registered
     /// (the existing registration is untouched);
     /// [`CoreError::Persist`] if the ownership claim cannot be persisted.
-    pub fn register(&mut self, id: UserId, mut pipeline: SmarterYou) -> Result<(), CoreError> {
+    pub fn register(&mut self, id: UserId, pipeline: SmarterYou) -> Result<(), CoreError> {
         if self.users.contains_key(&id) {
             return Err(CoreError::AlreadyRegistered(id));
         }
-        // The engine owns the extraction-path choice for its whole fleet.
-        pipeline.set_fast_extraction(self.fast_extraction);
         let epoch = match self.eviction.as_mut() {
             Some(e) => e.store.acquire(id)?,
             None => 0,
@@ -629,11 +597,8 @@ impl FleetEngine {
                         // Never drop unsaved state: rebuild from the
                         // snapshot still in hand and keep the user.
                         let server = self.users[&id].server.clone();
-                        let mut pipeline = SmarterYou::restore(snapshot, server)
+                        let pipeline = SmarterYou::restore(snapshot, server)
                             .expect("snapshot of a live pipeline restores");
-                        // Restored pipelines come back with the runtime
-                        // fast-extraction flag off; re-apply the engine's.
-                        pipeline.set_fast_extraction(self.fast_extraction);
                         self.resident.push(ResidentSlot {
                             id,
                             seq,
@@ -751,10 +716,7 @@ impl FleetEngine {
                 stored,
             }));
         }
-        let mut pipeline = SmarterYou::restore(snapshot, server)?;
-        // Snapshots never carry the runtime fast-extraction flag; the
-        // owning engine re-applies its setting on rehydration.
-        pipeline.set_fast_extraction(self.fast_extraction);
+        let pipeline = SmarterYou::restore(snapshot, server)?;
         // The stored snapshot stays put as a crash-recovery copy: it can
         // never be *read* while the pipeline is resident (loads only happen
         // for parked entries, and eviction overwrites the entry first), and
@@ -989,19 +951,17 @@ impl FleetEngine {
         // One extraction scratch per tick thread, shared across every
         // pipeline that thread scores: the FFT plan tables and transform
         // buffers (~40 KB) stay cache-hot across users instead of being
-        // reloaded cold from each pipeline's own scratch. Outcomes are
-        // bit-identical to the per-pipeline path for the same fast-path
-        // setting (`tests/fast_extraction_parity.rs`).
+        // reloaded cold from each pipeline's own scratch. A scratch holds
+        // no model state, so outcomes are bit-identical to the
+        // per-pipeline path (`tests/batch_parity.rs`).
         thread_local! {
             static TICK_SCRATCH: std::cell::RefCell<crate::FeatureScratch> =
                 std::cell::RefCell::new(crate::FeatureScratch::default());
         }
-        let fast = self.fast_extraction;
         let mut results: Vec<SlotTickResult> = parallel_map_mut(&mut self.resident, |slot| {
             let windows = std::mem::take(&mut slot.inbox);
             let outcome = TICK_SCRATCH.with(|cell| {
                 let mut scratch = cell.borrow_mut();
-                scratch.set_fast_path(fast);
                 match slot
                     .pipeline
                     .process_batch_with_scratch(&windows, &mut scratch)
@@ -1229,10 +1189,8 @@ impl FleetEngine {
                     // the snapshot still in hand (a snapshot taken from a
                     // live pipeline always restores) and surface the error.
                     let server = self.users[&id].server.clone();
-                    let mut pipeline = SmarterYou::restore(snapshot, server)
+                    let pipeline = SmarterYou::restore(snapshot, server)
                         .expect("snapshot of a live pipeline restores");
-                    // Re-apply the runtime flag a restore never carries.
-                    pipeline.set_fast_extraction(self.fast_extraction);
                     self.resident.push(ResidentSlot {
                         id,
                         seq,

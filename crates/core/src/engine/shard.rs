@@ -168,22 +168,6 @@ impl ShardedFleet {
         }
     }
 
-    /// Builder form of [`ShardedFleet::set_fast_extraction`].
-    pub fn with_fast_extraction(mut self, on: bool) -> Self {
-        self.set_fast_extraction(on);
-        self
-    }
-
-    /// Switches every shard between the vectorized fast-extraction path
-    /// and the scalar reference path (see
-    /// [`FleetEngine::set_fast_extraction`]); each shard re-applies the
-    /// setting to pipelines it registers, rehydrates or adopts.
-    pub fn set_fast_extraction(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.set_fast_extraction(on);
-        }
-    }
-
     /// Enables async ingestion: one bounded queue (capacity
     /// `queue_capacity_per_shard`, backpressure `policy`) per shard,
     /// attached so each shard's tick drains its own queue. Returns the

@@ -87,7 +87,7 @@
 //! user from one engine process to another is an evict on the source and a
 //! rehydrate on the target.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -781,7 +781,8 @@ pub enum JournalResolution {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Orphaned `*.tmp` files swept (a crash between temp-write and
-    /// rename). Never counted by `len()` and never loadable.
+    /// rename). Never counted by `len()` and never loadable. Temps of a
+    /// user whose lock a live process holds are not swept.
     pub swept_temps: usize,
     /// Per-user lock files whose holding process is provably dead.
     pub stale_locks: usize,
@@ -905,10 +906,11 @@ pub struct FileSnapshotStore {
 
 impl FileSnapshotStore {
     /// Opens (creating if needed) a snapshot directory, then runs crash
-    /// recovery over it: sweeps orphaned `*.tmp` files, reaps lock files
-    /// whose holders are dead, and resolves stranded write-ahead journals.
-    /// The findings are available from
-    /// [`FileSnapshotStore::recovery_report`].
+    /// recovery over it: reaps lock files whose holders are dead, then
+    /// sweeps orphaned `*.tmp` files and resolves stranded write-ahead
+    /// journals of every user whose lock it can take. A user locked by a
+    /// live process is left to that process. The findings are available
+    /// from [`FileSnapshotStore::recovery_report`].
     ///
     /// # Errors
     ///
@@ -1232,37 +1234,31 @@ impl FileSnapshotStore {
         }
     }
 
-    /// The open-time sweep: orphaned temps, dead holders' locks, stranded
-    /// journals. Users whose lock is held by a *live* process are skipped
-    /// entirely — that holder owns their cleanup.
+    /// The open-time sweep: dead holders' locks first, then each user's
+    /// orphaned temps and stranded journal, under that user's lock. Users
+    /// whose lock is held by a *live* process are skipped entirely — that
+    /// holder owns their cleanup, and since every `write_atomic` runs under
+    /// the per-user lock, a temp next to a live lock may be a write in
+    /// flight.
     fn recover_all(&mut self) -> Result<RecoveryReport, PersistError> {
         let mut report = RecoveryReport::default();
-        let mut temps = Vec::new();
         let mut locks = Vec::new();
-        let mut journal_stems = Vec::new();
+        // Per-user debris, keyed by file stem: the user's temps (empty
+        // when the user only has a journal).
+        let mut debris: BTreeMap<String, Vec<PathBuf>> = BTreeMap::new();
         let entries = std::fs::read_dir(&self.dir)
             .map_err(|e| PersistError::Io(format!("read dir {}: {e}", self.dir.display())))?;
         for entry in entries {
             let entry = entry
                 .map_err(|e| PersistError::Io(format!("read dir {}: {e}", self.dir.display())))?;
             let name = entry.file_name().to_string_lossy().into_owned();
+            let stem = name.split('.').next().unwrap_or_default().to_string();
             if name.ends_with(".tmp") {
-                temps.push(entry.path());
+                debris.entry(stem).or_default().push(entry.path());
             } else if name.ends_with(".lock") {
                 locks.push(entry.path());
-            } else if let Some(stem) = name.strip_suffix(".journal") {
-                journal_stems.push(stem.to_string());
-            }
-        }
-        // Temps first: a half-written journal or snapshot temp must be gone
-        // before journals are interpreted. Sweeping can race a live
-        // writer's in-flight temp; the writer's rename then fails with a
-        // typed Io error and its engine keeps the pipeline resident —
-        // never a corrupt file. (Fleet deployments open stores before
-        // serving, so in practice the directory is quiet here.)
-        for tmp in temps {
-            if std::fs::remove_file(&tmp).is_ok() {
-                report.swept_temps += 1;
+            } else if name.ends_with(".journal") {
+                debris.entry(stem).or_default();
             }
         }
         for lock in locks {
@@ -1270,13 +1266,20 @@ impl FileSnapshotStore {
                 report.stale_locks += 1;
             }
         }
-        for stem in journal_stems {
-            // A journal under a live holder's lock is that holder's to
-            // finish; try once and move on.
-            match self.try_lock_stem(&stem)? {
-                Some((_lock, Some(resolution))) => report.journals.push((stem, resolution)),
-                Some((_lock, None)) => {}
-                None => {}
+        for (stem, temps) in debris {
+            // Try once and move on: a live holder finishes its own write.
+            // Taking the lock resolves the journal; the temps go after it,
+            // since a journal is only ever read under its final name.
+            let Some((_lock, resolution)) = self.try_lock_stem(&stem)? else {
+                continue;
+            };
+            for tmp in temps {
+                if std::fs::remove_file(&tmp).is_ok() {
+                    report.swept_temps += 1;
+                }
+            }
+            if let Some(resolution) = resolution {
+                report.journals.push((stem, resolution));
             }
         }
         Ok(report)

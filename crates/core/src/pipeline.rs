@@ -234,31 +234,6 @@ impl SmarterYou {
         self.retrain_mode
     }
 
-    /// Builder form of [`SmarterYou::set_fast_extraction`].
-    pub fn with_fast_extraction(mut self, on: bool) -> Self {
-        self.set_fast_extraction(on);
-        self
-    }
-
-    /// Enables (or disables) the vectorized feature-extraction fast path
-    /// (fused 4-lane summaries + 4-stream batched spectra; see
-    /// `docs/perf.md`). Feature values — and therefore scores — move by at
-    /// most a few ulps relative to the reference; default off so parity
-    /// suites and restored snapshots keep the bit-exact scalar kernels.
-    ///
-    /// **Not persisted**: like thread counts, this is a runtime knob — a
-    /// pipeline restored from a snapshot starts with the flag off, and an
-    /// owning [`FleetEngine`](crate::FleetEngine) re-applies its own
-    /// setting on rehydration.
-    pub fn set_fast_extraction(&mut self, on: bool) {
-        self.scratch.set_fast_path(on);
-    }
-
-    /// Whether the vectorized extraction fast path is enabled.
-    pub fn fast_extraction(&self) -> bool {
-        self.scratch.fast_path()
-    }
-
     /// Whether a deferred retrain is outstanding (captured or submitted).
     /// Always `false` in inline mode.
     pub fn retrain_outstanding(&self) -> bool {
@@ -653,10 +628,9 @@ impl SmarterYou {
     /// scratch instead of the pipeline's own. A fleet engine ticking
     /// thousands of pipelines passes one shared scratch so the FFT plan
     /// tables and transform buffers stay cache-hot across users, instead of
-    /// touching a cold ~40 KB working set per pipeline. Extraction runs
-    /// with the **scratch's** fast-path setting
-    /// ([`FeatureScratch::set_fast_path`]); outcomes are bit-identical for
-    /// any scratch with the same setting.
+    /// touching a cold ~40 KB working set per pipeline. A scratch holds
+    /// only plans and buffers, never model state, so outcomes are
+    /// bit-identical whichever scratch is passed.
     ///
     /// # Errors
     ///
@@ -705,8 +679,8 @@ impl SmarterYou {
 
     /// [`SmarterYou::process_batch`] extracting through a caller-owned
     /// scratch — the fleet-tick entry point (see
-    /// [`SmarterYou::process_window_with_scratch`] for the sharing and
-    /// fast-path semantics).
+    /// [`SmarterYou::process_window_with_scratch`] for the sharing
+    /// semantics).
     ///
     /// # Errors
     ///

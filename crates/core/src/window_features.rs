@@ -15,10 +15,16 @@
 //! same-length windows performs no allocation and no transform planning in
 //! the spectral kernels.
 //!
-//! Both paths funnel through the same kernels
-//! ([`FeatureSet::extract_from_parts_into`](crate::FeatureSet::extract_from_parts_into),
-//! [`SpectrumPlan::magnitude_into`]), so the cached vectors are
-//! **bit-identical** to the naive ones — asserted by this module's tests and
+//! The window's shape picks the spectrum layout: when both devices are
+//! needed, spectral features are on and the two devices' streams share a
+//! non-zero length, all four magnitude streams go through one 4-lane
+//! [`SpectrumPlan::magnitude_batch4_into`]; otherwise each stream goes
+//! through [`SpectrumPlan::magnitude_into`]. Both layouts, like the naive
+//! extractors, use the single [`Summary::from_slice`](smarteryou_stats::Summary::from_slice)
+//! kernel and [`FeatureSet::extract_from_parts_into`](crate::FeatureSet::extract_from_parts_into),
+//! and a batched lane is bit-equal to a single-stream spectrum, so the
+//! cached vectors are **bit-identical** to the naive ones — asserted by
+//! this module's tests and the core crate's extraction parity suite, and
 //! relied on by the batch-parity suite.
 
 use smarteryou_dsp::{spectral_peaks, BatchSpectrumScratch, SpectrumPlan, SpectrumScratch};
@@ -41,12 +47,6 @@ pub struct FeatureScratch {
     spectrum_scratch: SpectrumScratch,
     magnitude: Vec<f64>,
     spectrum: Vec<f64>,
-    /// Whether extraction runs the vectorized fast path (fused 4-lane
-    /// summaries + 4-stream batched spectra). Default **off**: the fast
-    /// path is epsilon-equal, not bit-identical, to the reference (see
-    /// `docs/perf.md`), so parity suites and snapshot-replay paths keep
-    /// the scalar kernels unless a caller opts in.
-    fast_path: bool,
     /// The four magnitude streams of one window (phone/watch ×
     /// accel/gyro), gathered for the batched spectrum transform.
     batch_magnitude: [Vec<f64>; 4],
@@ -56,25 +56,6 @@ pub struct FeatureScratch {
 }
 
 impl FeatureScratch {
-    /// Builder form of [`FeatureScratch::set_fast_path`].
-    pub fn with_fast_path(mut self, on: bool) -> Self {
-        self.fast_path = on;
-        self
-    }
-
-    /// Enables (or disables) the vectorized extraction fast path for every
-    /// subsequent [`FeatureExtractor::window_features`] call using this
-    /// scratch. Feature values move by at most a few ulps relative to the
-    /// reference (pinned by the fast-extraction parity suite); with the
-    /// flag off, extraction is bit-identical to the seed behaviour.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
-    }
-
-    /// Whether the vectorized fast path is enabled.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
-    }
     /// Window length (in samples) the current spectrum plan was built for,
     /// or `None` when no window has been extracted yet. This is the plan
     /// key a pipeline snapshot records so a restored pipeline can re-plan
@@ -177,40 +158,27 @@ impl FeatureExtractor {
     ///
     /// The outputs are bit-identical to
     /// [`FeatureExtractor::context_features`] /
-    /// [`FeatureExtractor::auth_features`] on the same window.
+    /// [`FeatureExtractor::auth_features`] on the same window, whichever
+    /// spectrum layout the window's shape selects (see the module docs).
     pub fn window_features(
         &self,
         window: &DualDeviceWindow,
         devices: DeviceSet,
         scratch: &mut FeatureScratch,
     ) -> WindowFeatures {
-        if scratch.fast_path {
-            // The deployed shape — both devices, spectral features on —
-            // batches all four magnitude streams through one 4-lane
-            // transform. Other shapes still get the fused summaries but
-            // keep per-stream spectra.
-            if devices != DeviceSet::PhoneOnly && self.feature_set().needs_spectrum() {
-                if let Some(wf) = self.window_features_batched(window, devices, scratch) {
-                    return wf;
-                }
-            }
-            let phone = self.device_features_cached(&window.phone, scratch, true);
-            let watch = if devices == DeviceSet::PhoneOnly {
-                Vec::new()
-            } else {
-                self.device_features_cached(&window.watch, scratch, true)
-            };
-            return WindowFeatures {
-                devices,
-                phone,
-                watch,
-            };
+        let n = window.phone.len();
+        if devices != DeviceSet::PhoneOnly
+            && self.feature_set().needs_spectrum()
+            && n > 0
+            && window.watch.len() == n
+        {
+            return self.window_features_batched(window, devices, scratch);
         }
-        let phone = self.device_features_cached(&window.phone, scratch, false);
+        let phone = self.device_features_cached(&window.phone, scratch);
         let watch = if devices == DeviceSet::PhoneOnly {
             Vec::new()
         } else {
-            self.device_features_cached(&window.watch, scratch, false)
+            self.device_features_cached(&window.watch, scratch)
         };
         WindowFeatures {
             devices,
@@ -219,22 +187,18 @@ impl FeatureExtractor {
         }
     }
 
-    /// Fast-path extraction of both devices at once: the window's four
-    /// magnitude streams (phone/watch × accelerometer/gyroscope) are
-    /// summarised by the fused single-pass kernel and transformed by one
-    /// 4-lane batched spectrum call instead of four scalar FFTs. Returns
-    /// `None` when the devices' stream lengths disagree (the scalar path
-    /// handles that degenerate shape).
+    /// Extraction of both devices at once: the window's four magnitude
+    /// streams (phone/watch × accelerometer/gyroscope) go through one
+    /// 4-lane batched spectrum call instead of four single-stream FFTs —
+    /// the deployed shape. The caller guarantees both devices' streams
+    /// share a non-zero length.
     fn window_features_batched(
         &self,
         window: &DualDeviceWindow,
         devices: DeviceSet,
         scratch: &mut FeatureScratch,
-    ) -> Option<WindowFeatures> {
+    ) -> WindowFeatures {
         let n = window.phone.len();
-        if window.watch.len() != n || n == 0 {
-            return None;
-        }
         let streams = [
             (&window.phone, SensorKind::Accelerometer),
             (&window.phone, SensorKind::Gyroscope),
@@ -244,12 +208,10 @@ impl FeatureExtractor {
         for (buf, (device, sensor)) in scratch.batch_magnitude.iter_mut().zip(streams) {
             device.magnitude_into(sensor, buf);
         }
-        let summaries = [
-            stats::Summary::from_slice_fused(&scratch.batch_magnitude[0]),
-            stats::Summary::from_slice_fused(&scratch.batch_magnitude[1]),
-            stats::Summary::from_slice_fused(&scratch.batch_magnitude[2]),
-            stats::Summary::from_slice_fused(&scratch.batch_magnitude[3]),
-        ];
+        let summaries = scratch
+            .batch_magnitude
+            .each_ref()
+            .map(|m| stats::Summary::from_slice(m));
         scratch.prepare(n);
         let FeatureScratch {
             plan,
@@ -274,32 +236,26 @@ impl FeatureExtractor {
             let out = if l < 2 { &mut phone } else { &mut watch };
             set.extract_from_parts_into(summary, peaks, out);
         }
-        Some(WindowFeatures {
+        WindowFeatures {
             devices,
             phone,
             watch,
-        })
+        }
     }
 
     /// One device's feature vector (Eq. 3) through the planned, buffered
-    /// extraction path. `fused` selects the single-pass 4-lane summary
-    /// kernel (epsilon-equal) over the bit-exact reference.
+    /// single-stream extraction path.
     fn device_features_cached(
         &self,
         window: &SensorWindow,
         scratch: &mut FeatureScratch,
-        fused: bool,
     ) -> Vec<f64> {
         let set = self.feature_set();
         let needs_spectrum = set.needs_spectrum();
         let mut out = Vec::with_capacity(self.features_per_device());
         for sensor in [SensorKind::Accelerometer, SensorKind::Gyroscope] {
             window.magnitude_into(sensor, &mut scratch.magnitude);
-            let summary = if fused {
-                stats::Summary::from_slice_fused(&scratch.magnitude)
-            } else {
-                stats::Summary::from_slice(&scratch.magnitude)
-            };
+            let summary = stats::Summary::from_slice(&scratch.magnitude);
             let peaks = if needs_spectrum {
                 let n = scratch.magnitude.len();
                 scratch.prepare(n);
@@ -419,36 +375,6 @@ mod tests {
         extractor
             .window_features(w, DeviceSet::PhoneOnly, &mut scratch)
             .auth_features(DeviceSet::Combined);
-    }
-
-    #[test]
-    fn fast_path_matches_reference_within_epsilon() {
-        // Bluestein (300) and radix-2-friendly lengths, batched and
-        // non-batched device shapes.
-        for spec in [
-            WindowSpec::from_seconds(6.0, 50.0),
-            WindowSpec::from_seconds(2.56, 50.0),
-        ] {
-            let extractor = FeatureExtractor::paper_default(spec.sample_rate);
-            let mut reference = FeatureScratch::default();
-            let mut fast = FeatureScratch::default().with_fast_path(true);
-            assert!(fast.fast_path());
-            for (i, w) in windows(spec, 6).iter().enumerate() {
-                for devices in DeviceSet::ALL {
-                    let r = extractor.window_features(w, devices, &mut reference);
-                    let f = extractor.window_features(w, devices, &mut fast);
-                    let rv = r.auth_features(devices);
-                    let fv = f.auth_features(devices);
-                    assert_eq!(rv.len(), fv.len());
-                    for (j, (a, b)) in fv.iter().zip(&rv).enumerate() {
-                        assert!(
-                            (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                            "window {i} {devices:?} feature {j}: {a} vs {b}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

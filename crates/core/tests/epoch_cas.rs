@@ -247,6 +247,40 @@ fn orphaned_temps_are_swept_on_open_and_never_counted() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Opening a store never deletes a write in flight: every `write_atomic`
+/// runs under the per-user lock, so a temp next to a lock whose holder is
+/// alive survives the open-time sweep, while a temp next to a dead
+/// holder's lock is crash debris, swept and counted.
+#[test]
+fn temps_under_a_live_lock_survive_open_dead_holders_are_swept() {
+    let dir = temp_store_dir("live-temp");
+    FileSnapshotStore::new(&dir).unwrap();
+    let (live, dead) = (UserId(3), UserId(5));
+    let live_lock = dir.join(format!("{live}.lock"));
+    let live_tmp = dir.join(format!("{live}.journal.tmp"));
+    let dead_lock = dir.join(format!("{dead}.lock"));
+    let dead_tmp = dir.join(format!("{dead}.snapshot.json.tmp"));
+    // Our own PID: a live holder mid-write.
+    std::fs::write(&live_lock, format!("{}", std::process::id())).unwrap();
+    std::fs::write(&live_tmp, "in flight").unwrap();
+    // A PID no process can have: the holder is provably dead.
+    std::fs::write(&dead_lock, "4000000000").unwrap();
+    std::fs::write(&dead_tmp, "half-written").unwrap();
+
+    let store = FileSnapshotStore::new(&dir).unwrap();
+    let report = store.recovery_report();
+    assert_eq!(report.swept_temps, 1, "only the dead holder's temp goes");
+    assert_eq!(report.stale_locks, 1);
+    assert!(
+        live_tmp.exists(),
+        "a live holder's temp is its write in flight"
+    );
+    assert!(live_lock.exists());
+    assert!(!dead_tmp.exists());
+    assert!(!dead_lock.exists(), "the sweep releases the lock it took");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn dead_holder_lock_is_stolen_live_holder_is_respected() {
     let dir = temp_store_dir("locks");

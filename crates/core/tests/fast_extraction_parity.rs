@@ -1,36 +1,20 @@
-//! Parity and plumbing tests for the vectorized fast-extraction path.
+//! Bit-equality contract for cached feature extraction:
+//! [`FeatureExtractor::window_features`] equals the per-purpose extractors
+//! [`FeatureExtractor::auth_features`] and
+//! [`FeatureExtractor::context_features`] bit for bit, for every
+//! [`DeviceSet`], at the paper's 300-sample window and at 128 samples.
 //!
-//! Two contracts, mirroring `docs/perf.md`:
-//!
-//! 1. **Flag off (default): bit-identical.** Extraction with the fast path
-//!    disabled must produce byte-for-byte the same vectors as the public
-//!    per-purpose extractors ([`FeatureExtractor::auth_features`] /
-//!    [`FeatureExtractor::context_features`]), whose outputs the parity
-//!    suites pinned before the fast path existed.
-//! 2. **Flag on: epsilon-pinned.** Fast extraction agrees with the
-//!    reference within a tight relative bound (the only deviations are the
-//!    fused summary's one-pass variance and the batched spectrum's
-//!    `sqrt(re² + im²)` magnitude).
-//!
-//! Plus the runtime-flag plumbing: the flag never rides in a snapshot, and
-//! a [`FleetEngine`] re-applies its own setting to every pipeline it
-//! registers or rehydrates.
+//! The window's shape picks the spectrum layout: the four magnitude streams
+//! go through one batched transform when both devices are needed, spectral
+//! features are on and both devices' streams share a length; otherwise each
+//! device is extracted on its own. Both layouts are held to the same
+//! contract, so neither can drift from the per-purpose extractors.
 
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use smarteryou_core::{
-    ContextDetector, ContextDetectorConfig, DeviceSet, FeatureExtractor, FeatureScratch,
-    FleetEngine, MemorySnapshotStore, SmarterYou, SystemConfig, TrainingServer,
-};
-use smarteryou_sensors::{
-    DualDeviceWindow, Population, RawContext, TraceGenerator, UserId, WindowSpec,
-};
+use smarteryou_core::{DeviceSet, FeatureExtractor, FeatureKind, FeatureScratch, FeatureSet};
+use smarteryou_sensors::{DualDeviceWindow, Population, RawContext, TraceGenerator, WindowSpec};
 
 fn windows(seed: u64, count: usize, window_secs: f64) -> Vec<DualDeviceWindow> {
     let spec = WindowSpec::from_seconds(window_secs, 50.0);
@@ -44,32 +28,13 @@ fn windows(seed: u64, count: usize, window_secs: f64) -> Vec<DualDeviceWindow> {
     out
 }
 
-fn check_window(
-    extractor: &FeatureExtractor,
-    w: &DualDeviceWindow,
-    devices: DeviceSet,
-) -> Result<(), TestCaseError> {
-    // Contract 1: flag off is bit-identical to the seed-era extractors.
-    let mut reference_scratch = FeatureScratch::default();
-    let reference = extractor.window_features(w, devices, &mut reference_scratch);
-    let want_ctx = extractor.context_features(w);
-    let want_auth = extractor.auth_features(w, devices);
-    prop_assert_eq!(reference.context_features(), want_ctx.as_slice());
-    let got_auth = reference.into_auth_features(devices);
-    prop_assert_eq!(got_auth.len(), want_auth.len());
-    for (a, b) in got_auth.iter().zip(&want_auth) {
-        prop_assert!(a.to_bits() == b.to_bits(), "flag-off not bit-identical");
-    }
-
-    // Contract 2: flag on agrees within epsilon.
-    let mut fast_scratch = FeatureScratch::default().with_fast_path(true);
-    let fast = extractor.window_features(w, devices, &mut fast_scratch);
-    let got = fast.into_auth_features(devices);
-    prop_assert_eq!(got.len(), want_auth.len());
-    for (i, (a, b)) in got.iter().zip(&want_auth).enumerate() {
+fn assert_bits(got: &[f64], want: &[f64], label: &str) -> Result<(), TestCaseError> {
+    prop_assert!(got.len() == want.len(), "{}: length", label);
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
         prop_assert!(
-            (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-            "feature {}: fast {} vs reference {}",
+            a.to_bits() == b.to_bits(),
+            "{}: feature {} is {} but the per-purpose extractor gives {}",
+            label,
             i,
             a,
             b
@@ -78,118 +43,76 @@ fn check_window(
     Ok(())
 }
 
+/// One shared scratch across calls, as a fleet tick uses it: plans and
+/// buffers carried over from earlier windows (other lengths included) must
+/// not leak into the result.
+fn check_window(
+    extractor: &FeatureExtractor,
+    w: &DualDeviceWindow,
+    devices: DeviceSet,
+    scratch: &mut FeatureScratch,
+) -> Result<(), TestCaseError> {
+    let cached = extractor.window_features(w, devices, scratch);
+    let want_auth = extractor.auth_features(w, devices);
+    assert_bits(
+        cached.context_features(),
+        &extractor.context_features(w),
+        "context",
+    )?;
+    assert_bits(&cached.auth_features(devices), &want_auth, "auth")?;
+    assert_bits(&cached.into_auth_features(devices), &want_auth, "into_auth")?;
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn fast_extraction_parity(seed in 0u64..1_000_000) {
+    fn window_features_match_per_purpose_extractors(seed in 0u64..1_000_000) {
         let extractor = FeatureExtractor::paper_default(50.0);
+        let mut scratch = FeatureScratch::default();
         // 6.0 s is the paper's deployed window (300 samples, even length →
-        // packed real path); 2.56 s lands on 128 samples (pure radix-2).
+        // packed real path over a Bluestein transform); 2.56 s lands on 128
+        // samples (pure radix-2).
         for secs in [6.0, 2.56] {
             for w in windows(seed, 4, secs) {
-                for devices in [DeviceSet::Combined, DeviceSet::WatchOnly, DeviceSet::PhoneOnly] {
-                    check_window(&extractor, &w, devices)?;
+                for devices in DeviceSet::ALL {
+                    check_window(&extractor, &w, devices, &mut scratch)?;
                 }
             }
         }
     }
 }
 
-/// Shared fixture for the pipeline-level tests: a trained context detector
-/// is the expensive part, built once.
-fn fixture() -> &'static (SystemConfig, ContextDetector, Arc<Mutex<TrainingServer>>) {
-    static FIXTURE: OnceLock<(SystemConfig, ContextDetector, Arc<Mutex<TrainingServer>>)> =
-        OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let cfg = SystemConfig::paper_default()
-            .with_window_secs(2.0)
-            .with_data_size(40);
-        let spec = WindowSpec::from_seconds(cfg.window_secs(), cfg.sample_rate());
-        let extractor = FeatureExtractor::paper_default(cfg.sample_rate());
-        let population = Population::generate(4, 777);
-        let mut ctx_features = Vec::new();
-        let mut ctx_labels = Vec::new();
-        let mut server = TrainingServer::new();
-        for user in population.users() {
-            let mut gen = TraceGenerator::new(user.clone(), 31);
-            for raw in [RawContext::SittingStanding, RawContext::MovingAround] {
-                let ws = gen.generate_windows(raw, spec, 20);
-                for w in &ws {
-                    ctx_features.push(extractor.context_features(w));
-                    ctx_labels.push(raw.coarse());
-                }
-                server.contribute(
-                    raw.coarse(),
-                    ws.iter()
-                        .map(|w| extractor.auth_features(w, DeviceSet::Combined)),
-                );
-            }
+/// The shapes the batched layout cannot serve go per device: a window whose
+/// two devices' streams differ in length, and a feature set without
+/// spectral features.
+#[test]
+fn per_device_layout_matches_per_purpose_extractors() {
+    let long = windows(7, 2, 6.0);
+    let short = windows(7, 2, 2.56);
+    let mut scratch = FeatureScratch::default();
+
+    let paper = FeatureExtractor::paper_default(50.0);
+    for (phone, watch) in [(&long[0], &short[0]), (&short[1], &long[1])] {
+        let uneven = DualDeviceWindow {
+            phone: phone.phone.clone(),
+            watch: watch.watch.clone(),
+        };
+        for devices in DeviceSet::ALL {
+            check_window(&paper, &uneven, devices, &mut scratch).unwrap();
         }
-        let mut rng = StdRng::seed_from_u64(5);
-        let detector = ContextDetector::train(
-            extractor,
-            &ctx_features,
-            &ctx_labels,
-            ContextDetectorConfig {
-                num_trees: 8,
-                max_depth: 6,
-            },
-            &mut rng,
-        )
-        .expect("detector trains");
-        (cfg, detector, Arc::new(Mutex::new(server)))
-    })
-}
+    }
 
-fn pipeline(seed: u64) -> SmarterYou {
-    let (cfg, detector, server) = fixture();
-    SmarterYou::new(cfg.clone(), detector.clone(), server.clone(), seed).expect("valid config")
-}
-
-/// The flag is runtime-only: a snapshot round-trip drops it, so a restored
-/// standalone pipeline always starts on the reference path.
-#[test]
-fn snapshot_roundtrip_resets_fast_extraction() {
-    let mut sys = pipeline(1);
-    sys.set_fast_extraction(true);
-    assert!(sys.fast_extraction());
-    let snapshot = sys.into_snapshot();
-    let restored = SmarterYou::restore(snapshot, fixture().2.clone()).expect("restores");
-    assert!(
-        !restored.fast_extraction(),
-        "snapshots must not carry the runtime fast-extraction flag"
-    );
-}
-
-/// A fleet engine re-applies its own setting on registration and after
-/// every rehydration, so eviction churn cannot silently downgrade a fleet
-/// to the scalar path.
-#[test]
-fn fleet_engine_reapplies_flag_across_eviction() {
-    let mut engine = FleetEngine::new()
-        .with_fast_extraction(true)
-        .with_eviction(Box::new(MemorySnapshotStore::new()), 1);
-    let (a, b) = (UserId(1), UserId(2));
-    engine.register(a, pipeline(2)).expect("register");
-    engine.register(b, pipeline(3)).expect("register");
-    assert!(engine.pipeline(a).expect("resident").fast_extraction());
-
-    // Capacity 1: ticking parks the least recently submitted user.
-    engine.tick();
-    let parked = if engine.is_resident(a) == Some(false) {
-        a
-    } else {
-        b
-    };
-    assert_eq!(engine.is_resident(parked), Some(false), "one user evicts");
-    engine.rehydrate(parked).expect("rehydrates");
-    assert!(
-        engine.pipeline(parked).expect("resident").fast_extraction(),
-        "rehydration must re-apply the engine's fast-extraction setting"
-    );
-
-    // Flipping the engine's setting reaches already-resident pipelines.
-    engine.set_fast_extraction(false);
-    assert!(!engine.pipeline(parked).expect("resident").fast_extraction());
+    let time_domain: Vec<FeatureKind> = FeatureKind::ALL
+        .into_iter()
+        .filter(FeatureKind::is_time_domain)
+        .collect();
+    let stats_only = FeatureExtractor::new(FeatureSet::custom(time_domain), 50.0);
+    assert!(!stats_only.feature_set().needs_spectrum());
+    for w in long.iter().chain(&short) {
+        for devices in DeviceSet::ALL {
+            check_window(&stats_only, w, devices, &mut scratch).unwrap();
+        }
+    }
 }

@@ -580,6 +580,16 @@ impl RealFftPlan {
     }
 }
 
+/// One spectrum bin's amplitude, `sqrt(re² + im²) · scale`: the final step
+/// of both spectrum layouts, kept in one place so a batched lane stays
+/// bit-equal to a single-stream spectrum. Not `hypot`: its over/underflow
+/// guards are unreachable for centred sensor magnitudes, and it costs ~5×
+/// as much.
+#[inline]
+fn bin_amplitude(re: f64, im: f64, scale: f64) -> f64 {
+    (re * re + im * im).sqrt() * scale
+}
+
 /// Reusable workspace for [`SpectrumPlan::magnitude_into`].
 #[derive(Debug, Clone, Default)]
 pub struct SpectrumScratch {
@@ -652,6 +662,9 @@ impl SpectrumPlan {
     /// (cleared first). The signal's mean is removed before transforming,
     /// exactly as [`magnitude_spectrum`](crate::magnitude_spectrum) does.
     ///
+    /// Each bin's magnitude is `sqrt(re² + im²) · (2/n)`, the same final
+    /// step as [`SpectrumPlan::magnitude_batch4_into`].
+    ///
     /// # Panics
     ///
     /// Panics if `signal.len()` differs from the planned length.
@@ -680,11 +693,16 @@ impl SpectrumPlan {
             &mut scratch.fft,
             &mut scratch.bins,
         );
-        let scale_n = n as f64;
-        out.extend(scratch.bins.iter().map(|z| z.abs() * 2.0 / scale_n));
+        let scale = 2.0 / n as f64;
+        out.extend(
+            scratch
+                .bins
+                .iter()
+                .map(|z| bin_amplitude(z.re, z.im, scale)),
+        );
     }
 
-    /// Batched fast path: the magnitude spectra of **four** same-length
+    /// Batched layout: the magnitude spectra of **four** same-length
     /// signals in one pass — the shape of the deployed pipeline, which
     /// transforms exactly four magnitude streams per window (phone/watch ×
     /// accelerometer/gyroscope).
@@ -697,13 +715,11 @@ impl SpectrumPlan {
     /// ops while each lane performs the scalar path's operations in the
     /// scalar path's order.
     ///
-    /// **Parity contract:** every transform stage is bit-identical per lane
-    /// to [`SpectrumPlan::magnitude_into`]; the single deviation is the
-    /// final magnitude, computed as `sqrt(re² + im²)` instead of `hypot`
-    /// (≈1 ulp relative; `hypot`'s over/underflow guards are unreachable
-    /// for centred sensor magnitudes, and `hypot` costs ~5× as much). The
-    /// batch-parity proptests pin the agreement bound. Callers needing
-    /// bit-exact spectra (the flag-off parity suites) use the scalar path.
+    /// **Parity contract:** every lane is bit-identical to
+    /// [`SpectrumPlan::magnitude_into`] on the same signal — each transform
+    /// stage and the final `sqrt(re² + im²) · (2/n)` perform the
+    /// single-stream operations in the single-stream order. The
+    /// batch-parity proptests pin it with `to_bits` equality.
     ///
     /// # Panics
     ///
@@ -752,7 +768,7 @@ impl SpectrumPlan {
             for k in 0..nb {
                 let re = scratch.bins_re[4 * k + l];
                 let im = scratch.bins_im[4 * k + l];
-                o.push((re * re + im * im).sqrt() * scale);
+                o.push(bin_amplitude(re, im, scale));
             }
         }
     }
@@ -871,9 +887,9 @@ mod tests {
             for l in 0..4 {
                 assert_eq!(got[l].len(), expect[l].len(), "n={n} lane {l}");
                 for (k, (a, b)) in got[l].iter().zip(&expect[l]).enumerate() {
-                    // Only the final |z| differs (sqrt vs hypot): ≈1 ulp.
-                    assert!(
-                        (a - b).abs() <= 1e-12 * b.abs().max(1e-9),
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
                         "n={n} lane {l} bin {k}: {a} vs {b}"
                     );
                 }

@@ -1,9 +1,9 @@
-//! Parity proptests pinning the batched (4-lane SoA) spectrum path and the
-//! chunked magnitude kernel to their scalar references. The batched FFT is
-//! bit-identical per lane at every transform stage; the one allowed
-//! deviation is the final `sqrt(re² + im²)` magnitude vs `hypot`, so the
-//! spectrum bound here is a tight relative epsilon, while the magnitude
-//! series is required to be bit-equal.
+//! Parity proptests pinning the batched (4-lane SoA) spectrum layout to the
+//! single-stream one, and the chunked magnitude kernel to its scalar
+//! reference. Both spectrum layouts run the same operations in the same
+//! order per lane, down to the final `sqrt(re² + im²) · (2/n)`, so every
+//! batched lane must be `to_bits`-equal to `SpectrumPlan::magnitude_into`,
+//! and the magnitude series bit-equal to `axis_magnitude`.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -45,10 +45,9 @@ fn check_batch_matches_scalar(n: usize, pool: &[f64]) -> Result<(), TestCaseErro
     for (lane, (got, want)) in [g0, g1, g2, g3].iter().zip(&expected).enumerate() {
         prop_assert_eq!(got.len(), want.len());
         for (k, (&a, &b)) in got.iter().zip(want.iter()).enumerate() {
-            let tol = 1e-12 * b.abs().max(1e-9);
             prop_assert!(
-                (a - b).abs() <= tol,
-                "lane {} bin {}: batched {} vs scalar {}",
+                a.to_bits() == b.to_bits(),
+                "lane {} bin {}: batched {} vs single-stream {}",
                 lane,
                 k,
                 a,
@@ -68,8 +67,7 @@ proptest! {
     }
 
     /// The chunked magnitude kernel must be **bit-identical** to mapping
-    /// [`axis_magnitude`] over the axes — it sits on both the fast and the
-    /// reference extraction paths.
+    /// [`axis_magnitude`] over the axes — it feeds both spectrum layouts.
     #[test]
     fn magnitude_series_is_bit_identical_to_axis_magnitude(
         xyz in prop::collection::vec((-40.0..40.0f64, -40.0..40.0f64, -40.0..40.0f64), 0..=310)

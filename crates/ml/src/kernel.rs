@@ -61,66 +61,6 @@ impl Kernel {
         }
     }
 
-    /// Cache-blocked, vectorizer-friendly fast path for [`Kernel::gram`].
-    ///
-    /// For the RBF kernel this computes `‖a − b‖² = ‖a‖² + ‖b‖² − 2aᵀb`
-    /// from precomputed row norms with a 4-lane blocked dot-product inner
-    /// loop and a fused `exp`, tiling the row pairs in
-    /// [`GRAM_BLOCK`]-sized blocks so the `j`-side rows stay cache-hot
-    /// across an entire `i`-tile. The polynomial kernel shares the tiling
-    /// and the 4-lane dot; the linear kernel delegates to the already
-    /// specialised [`Matrix::gram`] (identical result).
-    ///
-    /// The 4-lane dot **reassociates** the float sums, so entries differ
-    /// from [`Kernel::gram`] by a few ulps (clamped at `‖·‖² ≥ 0` for
-    /// RBF); the blocked-kernel parity proptests pin the bound. Callers
-    /// needing the reference bits keep calling [`Kernel::gram`].
-    pub fn gram_blocked(&self, x: &Matrix) -> Matrix {
-        let n = x.rows();
-        match *self {
-            Kernel::Linear => x.gram(),
-            Kernel::Rbf { gamma } => {
-                let norms: Vec<f64> = (0..n).map(|i| dot4(x.row(i), x.row(i))).collect();
-                let mut k = Matrix::zeros(n, n);
-                for ib in (0..n).step_by(GRAM_BLOCK) {
-                    let ie = (ib + GRAM_BLOCK).min(n);
-                    for jb in (ib..n).step_by(GRAM_BLOCK) {
-                        let je = (jb + GRAM_BLOCK).min(n);
-                        for i in ib..ie {
-                            let ri = x.row(i);
-                            let ni = norms[i];
-                            for j in jb.max(i)..je {
-                                let d2 = (ni + norms[j] - 2.0 * dot4(ri, x.row(j))).max(0.0);
-                                let v = (-gamma * d2).exp();
-                                k[(i, j)] = v;
-                                k[(j, i)] = v;
-                            }
-                        }
-                    }
-                }
-                k
-            }
-            Kernel::Polynomial { degree, coef } => {
-                let mut k = Matrix::zeros(n, n);
-                for ib in (0..n).step_by(GRAM_BLOCK) {
-                    let ie = (ib + GRAM_BLOCK).min(n);
-                    for jb in (ib..n).step_by(GRAM_BLOCK) {
-                        let je = (jb + GRAM_BLOCK).min(n);
-                        for i in ib..ie {
-                            let ri = x.row(i);
-                            for j in jb.max(i)..je {
-                                let v = (dot4(ri, x.row(j)) + coef).powi(degree as i32);
-                                k[(i, j)] = v;
-                                k[(j, i)] = v;
-                            }
-                        }
-                    }
-                }
-                k
-            }
-        }
-    }
-
     /// Kernel vector `[k(x₁, q), …, k(xₙ, q)]` against the rows of `x`.
     pub fn against(&self, x: &Matrix, q: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(x.rows());
@@ -136,28 +76,6 @@ impl Kernel {
         out.extend((0..x.rows()).map(|i| self.eval(x.row(i), q)));
     }
 
-    /// 4-lane fast path for [`Kernel::against_into`]: the per-row dot /
-    /// squared-distance runs as `chunks_exact(4)` with four independent
-    /// accumulators (plus a fused `exp` for RBF), which the autovectorizer
-    /// turns into 4-wide vector ops — the scalar reference's sequential
-    /// reduction cannot vectorize without reassociating. Epsilon-equal to
-    /// [`Kernel::against_into`] (a few ulps per entry, pinned by the
-    /// blocked-kernel parity proptests); bit-exact callers keep the
-    /// reference.
-    pub fn against_into_blocked(&self, x: &Matrix, q: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(x.rows());
-        match *self {
-            Kernel::Linear => out.extend((0..x.rows()).map(|i| dot4(x.row(i), q))),
-            Kernel::Rbf { gamma } => {
-                out.extend((0..x.rows()).map(|i| (-gamma * squared_distance4(x.row(i), q)).exp()))
-            }
-            Kernel::Polynomial { degree, coef } => {
-                out.extend((0..x.rows()).map(|i| (dot4(x.row(i), q) + coef).powi(degree as i32)))
-            }
-        }
-    }
-
     /// Whether `k(a + t, b + t) = k(a, b)` for every translation `t`.
     ///
     /// Translation-invariant kernels commute with feature centring, which
@@ -167,54 +85,6 @@ impl Kernel {
     pub fn is_translation_invariant(&self) -> bool {
         matches!(self, Kernel::Rbf { .. })
     }
-}
-
-/// Rows per tile of the blocked Gram kernels. 32 rows of the paper's
-/// 28-feature vectors are ~7 KiB per side — two tiles fit comfortably in
-/// L1, so the inner dot products never leave cache while a tile is live.
-const GRAM_BLOCK: usize = 32;
-
-/// 4-lane chunked dot product: `chunks_exact(4)` with four independent
-/// accumulators and a scalar tail. Reassociates the sum (epsilon vs
-/// `vector::dot`), which is exactly what lets the autovectorizer emit
-/// 4-wide fused multiply-adds.
-fn dot4(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 4];
-    let ca = a.chunks_exact(4);
-    let cb = b.chunks_exact(4);
-    let (ta, tb) = (ca.remainder(), cb.remainder());
-    for (xa, xb) in ca.zip(cb) {
-        for l in 0..4 {
-            acc[l] += xa[l] * xb[l];
-        }
-    }
-    let mut tail = 0.0;
-    for (x, y) in ta.iter().zip(tb) {
-        tail += x * y;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// 4-lane chunked `‖a − b‖²`, same accumulator scheme as [`dot4`].
-fn squared_distance4(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 4];
-    let ca = a.chunks_exact(4);
-    let cb = b.chunks_exact(4);
-    let (ta, tb) = (ca.remainder(), cb.remainder());
-    for (xa, xb) in ca.zip(cb) {
-        for l in 0..4 {
-            let d = xa[l] - xb[l];
-            acc[l] += d * d;
-        }
-    }
-    let mut tail = 0.0;
-    for (x, y) in ta.iter().zip(tb) {
-        let d = x - y;
-        tail += d * d;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
 #[cfg(test)]
@@ -260,73 +130,6 @@ mod tests {
         ] {
             let g = k.gram(&x);
             assert!(g.is_symmetric(1e-12), "{k:?}");
-        }
-    }
-
-    fn wide_matrix(n: usize, m: usize) -> Matrix {
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..m)
-                    .map(|j| ((i * m + j) as f64 * 0.37).sin() + 0.1 * j as f64)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        Matrix::from_rows(&refs).unwrap()
-    }
-
-    #[test]
-    fn gram_blocked_matches_reference_across_tile_edges() {
-        // Sizes straddling the 32-row tile edge, at the paper's 28-feature
-        // width and a ragged non-multiple-of-4 width.
-        for (n, m) in [(5, 28), (32, 28), (33, 27), (70, 28), (100, 3)] {
-            let x = wide_matrix(n, m);
-            for kern in [
-                Kernel::Linear,
-                Kernel::Rbf { gamma: 0.07 },
-                Kernel::Polynomial {
-                    degree: 2,
-                    coef: 0.5,
-                },
-            ] {
-                let reference = kern.gram(&x);
-                let fast = kern.gram_blocked(&x);
-                for i in 0..n {
-                    for j in 0..n {
-                        let (a, b) = (fast[(i, j)], reference[(i, j)]);
-                        assert!(
-                            (a - b).abs() <= 1e-10 * b.abs().max(1.0),
-                            "{kern:?} n={n} m={m} ({i},{j}): {a} vs {b}"
-                        );
-                    }
-                }
-                assert!(fast.is_symmetric(0.0), "{kern:?} blocked gram symmetry");
-            }
-        }
-    }
-
-    #[test]
-    fn against_blocked_matches_reference() {
-        let x = wide_matrix(70, 28);
-        let q: Vec<f64> = (0..28).map(|j| (j as f64 * 0.11).cos()).collect();
-        for kern in [
-            Kernel::Linear,
-            Kernel::Rbf { gamma: 0.07 },
-            Kernel::Polynomial {
-                degree: 3,
-                coef: 1.0,
-            },
-        ] {
-            let reference = kern.against(&x, &q);
-            let mut fast = Vec::new();
-            kern.against_into_blocked(&x, &q, &mut fast);
-            assert_eq!(fast.len(), reference.len());
-            for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-10 * b.abs().max(1.0),
-                    "{kern:?} row {i}: {a} vs {b}"
-                );
-            }
         }
     }
 

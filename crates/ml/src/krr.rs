@@ -1,32 +1,9 @@
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use serde::{Deserialize, Serialize};
 
 use smarteryou_linalg::{vector, Cholesky, Matrix};
 
 use crate::error::validate_binary;
 use crate::{BinaryClassifier, BinaryTrainer, Kernel, MlError};
-
-/// Process-wide default for [`KernelRidge::with_fast_gram`], consulted by
-/// [`KernelRidge::new`]. Runtime-only — never serialized, so snapshots and
-/// parity suites are untouched. Off by default; benchmark binaries opt in
-/// at startup (the same pattern as the DSP crate's fallback counter:
-/// process-global observability/tuning state kept out of the data model).
-static FAST_GRAM_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide default for the blocked-Gram fast path. Affects
-/// only trainers constructed *after* the call; existing trainers keep the
-/// setting they were built with. Benchmarks call this once at startup;
-/// tests and production snapshots leave it off so the reference path stays
-/// bit-identical to the seed.
-pub fn set_fast_gram_default(on: bool) {
-    FAST_GRAM_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// Current process-wide default for the blocked-Gram fast path.
-pub fn fast_gram_default() -> bool {
-    FAST_GRAM_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// Which of the two mathematically equivalent KRR solutions to compute.
 ///
@@ -68,26 +45,11 @@ pub enum KrrSolver {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KernelRidge {
     pub(crate) rho: f64,
     pub(crate) kernel: Kernel,
     pub(crate) solver: KrrSolver,
-    /// Whether Gram construction uses the cache-blocked 4-lane fast path
-    /// ([`Kernel::gram_blocked`]) instead of the scalar reference. A
-    /// performance knob, not part of the mathematical configuration —
-    /// excluded from equality so workspaces built either way stay
-    /// interchangeable with their trainer. Default off; benches opt in.
-    pub(crate) fast_gram: bool,
-}
-
-/// Equality is over the *mathematical* configuration (ρ, kernel, solver);
-/// the `fast_gram` performance knob is deliberately excluded so shared
-/// workspaces and fit-cache keys never split on how a Gram was computed.
-impl PartialEq for KernelRidge {
-    fn eq(&self, other: &Self) -> bool {
-        self.rho == other.rho && self.kernel == other.kernel && self.solver == other.solver
-    }
 }
 
 impl KernelRidge {
@@ -106,7 +68,6 @@ impl KernelRidge {
             rho,
             kernel: Kernel::Linear,
             solver: KrrSolver::Auto,
-            fast_gram: fast_gram_default(),
         }
     }
 
@@ -114,21 +75,6 @@ impl KernelRidge {
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self
-    }
-
-    /// Enables (or disables) the cache-blocked 4-lane Gram fast path for
-    /// dual fits and shared-workspace construction. Fitted models differ
-    /// from the reference by a few ulps (see [`Kernel::gram_blocked`]);
-    /// the reference stays the default so parity suites and snapshots are
-    /// untouched. Excluded from [`PartialEq`].
-    pub fn with_fast_gram(mut self, on: bool) -> Self {
-        self.fast_gram = on;
-        self
-    }
-
-    /// Whether the blocked Gram fast path is enabled.
-    pub fn fast_gram(&self) -> bool {
-        self.fast_gram
     }
 
     /// Forces a particular solver.
@@ -231,7 +177,6 @@ impl KernelRidge {
                     key.rho_bits == self.rho.to_bits()
                         && key.kernel == self.kernel
                         && key.solver == solver
-                        && key.fast_gram == self.fast_gram
                         && key.x == *x
                 });
                 if hit {
@@ -312,11 +257,7 @@ impl KrrFactorization {
                 s.cholesky()?
             }
             KrrSolver::Dual => {
-                let mut k = if trainer.fast_gram {
-                    trainer.kernel.gram_blocked(&xc)
-                } else {
-                    trainer.kernel.gram(&xc)
-                };
+                let mut k = trainer.kernel.gram(&xc);
                 k.add_diagonal(trainer.rho);
                 k.cholesky()?
             }
@@ -335,10 +276,6 @@ struct KrrFitKey {
     rho_bits: u64,
     kernel: Kernel,
     solver: KrrSolver,
-    /// Unlike trainer equality, the key *does* record which Gram path
-    /// built the factorisation: cached reuse promises bit-identical
-    /// results, and the fast and reference paths differ by ulps.
-    fast_gram: bool,
     x: Matrix,
 }
 
@@ -348,7 +285,6 @@ impl KrrFitKey {
             rho_bits: trainer.rho.to_bits(),
             kernel: trainer.kernel,
             solver,
-            fast_gram: trainer.fast_gram,
             x: x.clone(),
         }
     }
@@ -522,49 +458,6 @@ impl KrrModel {
                 xc.iter_rows()
                     .map(|q| {
                         kernel.against_into(train, q, &mut k);
-                        vector::dot(&k, alphas) + self.y_mean
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Fast-path counterpart of [`KrrModel::decision_batch`]: kernelized
-    /// models evaluate their kernel rows through the 4-lane blocked path
-    /// ([`Kernel::against_into_blocked`]), fusing the distance and `exp`
-    /// per training row. Scores agree with the reference to a few ulps
-    /// (pinned by the blocked-kernel parity proptests); linear models
-    /// delegate to the reference, whose single matvec is already optimal.
-    /// Callers needing the batch-vs-sequential bit-parity contract keep
-    /// [`KrrModel::decision_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols()` differs from the training feature width.
-    pub fn decision_batch_blocked(&self, x: &Matrix) -> Vec<f64> {
-        match &self.kind {
-            KrrKind::Linear { .. } => self.decision_batch(x),
-            KrrKind::Kernelized {
-                kernel,
-                train,
-                alphas,
-            } => {
-                assert_eq!(
-                    x.cols(),
-                    self.x_mean.len(),
-                    "decision_batch_blocked: feature width mismatch"
-                );
-                let mut xc = x.clone();
-                for r in 0..xc.rows() {
-                    let row = xc.row_mut(r);
-                    for (v, mu) in row.iter_mut().zip(&self.x_mean) {
-                        *v -= mu;
-                    }
-                }
-                let mut k = Vec::with_capacity(train.rows());
-                xc.iter_rows()
-                    .map(|q| {
-                        kernel.against_into_blocked(train, q, &mut k);
                         vector::dot(&k, alphas) + self.y_mean
                     })
                     .collect()

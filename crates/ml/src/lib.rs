@@ -50,9 +50,7 @@ pub use error::MlError;
 pub use forest::{RandomForest, RandomForestModel};
 pub use kernel::Kernel;
 pub use knn::{Knn, KnnModel};
-pub use krr::{
-    fast_gram_default, set_fast_gram_default, KernelRidge, KrrFitCache, KrrModel, KrrSolver,
-};
+pub use krr::{KernelRidge, KrrFitCache, KrrModel, KrrSolver};
 pub use linreg::{LinearRegression, LinearRegressionModel};
 pub use metrics::{cross_validate, evaluate_binary, CrossValidationReport};
 pub use naive_bayes::{GaussianNaiveBayes, GaussianNaiveBayesModel};

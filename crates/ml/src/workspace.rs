@@ -232,13 +232,7 @@ impl KernelRidge {
         let (neg_gram_cols, neg_factor) = match self.kernel {
             Kernel::Linear => (Some(negatives.gram_columns()), None),
             kernel if kernel.is_translation_invariant() => {
-                // Same fast-vs-reference choice as `KrrFactorization`: the
-                // blocked path shaves the O(n²·m) negative-Gram build.
-                let mut k = if self.fast_gram {
-                    kernel.gram_blocked(&negatives)
-                } else {
-                    kernel.gram(&negatives)
-                };
+                let mut k = kernel.gram(&negatives);
                 k.add_diagonal(self.rho);
                 (None, Some(k.cholesky()?))
             }

@@ -98,75 +98,38 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Computes the summary of `data`. Mean/variance/min/max are `NaN` when
-    /// undefined for the sample size.
+    /// Computes the summary of `data` in one pass.
     ///
-    /// This is the **reference path**: two passes over `data` (one fused
-    /// sum/min/max pass, one centred sum-of-squares pass), each accumulator
-    /// folding elements in the same order as the single-statistic free
-    /// functions above — so every field is bit-identical to calling
-    /// [`mean`]/[`variance`]/[`min`]/[`max`] separately, at half the memory
-    /// traffic. See [`Summary::from_slice_fused`] for the reassociating
-    /// single-pass fast path.
+    /// The pass is 4-lane chunked (`chunks_exact(4)` with four independent
+    /// accumulators per statistic and a scalar tail), so it autovectorizes
+    /// on stable Rust. The running sums are shifted by the first element
+    /// (`s = Σ(x−x₀)`, `ss = Σ(x−x₀)²`; `var = (ss − s²/n)/(n−1)`), which
+    /// keeps the one-pass variance stable for streams with a large mean,
+    /// such as gravity-dominated accelerometer magnitudes. The lane sums
+    /// reassociate, so mean and variance are within a few ulps of the free
+    /// functions [`mean`] and [`variance`], not bit-equal to them. The lane
+    /// count and reduction order are fixed, so equal inputs always give
+    /// equal outputs.
+    ///
+    /// NaN contract, the same as the free functions: mean and variance are
+    /// `NaN` if any sample is `NaN`; min and max skip `NaN` samples and are
+    /// `NaN` only when every sample is. An empty slice gives `NaN` for all
+    /// four, and a one-sample slice a `NaN` variance.
     pub fn from_slice(data: &[f64]) -> Self {
         let n = data.len();
-        // Pass 1: sum, min and max. Each accumulator is independent and
-        // visits elements in slice order, matching `mean`'s sequential
-        // `iter().sum()` and the NaN-seeded folds of `min`/`max` exactly.
-        let mut sum = 0.0f64;
-        let mut mn = f64::NAN;
-        let mut mx = f64::NAN;
-        for &v in data {
-            sum += v;
-            mn = if mn.is_nan() { v } else { mn.min(v) };
-            mx = if mx.is_nan() { v } else { mx.max(v) };
-        }
-        let mean = if n == 0 { f64::NAN } else { sum / n as f64 };
-        // Pass 2: centred sum of squares — the same expression, element
-        // order and sequential sum as the free `variance`.
-        let variance = if n < 2 {
-            f64::NAN
-        } else {
-            data.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64
-        };
-        Summary {
-            count: n,
-            mean,
-            variance,
-            min: mn,
-            max: mx,
-        }
-    }
-
-    /// Single-pass fused summary: 4-lane chunked accumulation of sum,
-    /// shifted sum-of-squares, min and max (`chunks_exact(4)` with four
-    /// independent accumulators per statistic and a scalar tail), so the
-    /// whole summary costs one pass and autovectorizes on stable Rust.
-    ///
-    /// The running sums are shifted by the first element
-    /// (`s = Σ(x−x₀)`, `ss = Σ(x−x₀)²`; `var = (ss − s²/n)/(n−1)`), which
-    /// keeps the one-pass variance numerically stable for streams with a
-    /// large mean — exactly the regime of gravity-dominated accelerometer
-    /// magnitudes. Lane accumulation **reassociates** the float sums, so
-    /// mean and variance differ from [`Summary::from_slice`] by a few ulps
-    /// (the parity proptests pin the bound); min/max are exact for finite
-    /// inputs. Inputs containing NaN should use the reference path, whose
-    /// NaN-seeded fold semantics this fast path does not reproduce.
-    ///
-    /// Results are deterministic: the lane count and reduction order are
-    /// fixed, so equal inputs always produce equal outputs.
-    pub fn from_slice_fused(data: &[f64]) -> Self {
-        let n = data.len();
-        if n < 8 {
-            // Short windows gain nothing from lanes; reference semantics
-            // also cover the empty/short NaN contracts.
-            return Summary::from_slice(data);
-        }
-        let shift = data[0];
+        // A non-finite shift would poison every lane (∞ − ∞); shifting by
+        // zero keeps ±∞ samples at the free functions' results.
+        let shift = data
+            .first()
+            .copied()
+            .filter(|v| v.is_finite())
+            .unwrap_or(0.0);
         let mut s = [0.0f64; 4];
         let mut ss = [0.0f64; 4];
-        let mut mn = [f64::INFINITY; 4];
-        let mut mx = [f64::NEG_INFINITY; 4];
+        // `f64::min`/`max` return the non-NaN operand, so NaN seeds give
+        // the free functions' NaN-skipping folds.
+        let mut mn = [f64::NAN; 4];
+        let mut mx = [f64::NAN; 4];
         let chunks = data.chunks_exact(4);
         let tail = chunks.remainder();
         for c in chunks {
@@ -190,10 +153,13 @@ impl Summary {
             mx_t = mx_t.max(v);
         }
         let nf = n as f64;
+        // 0/0 makes the mean NaN for an empty slice.
         let mean = shift + s_t / nf;
-        // Constant streams can leave `ss − s²/n` a few ulps below zero;
-        // clamp so std_dev stays real, matching the reference's 0.
-        let variance = ((ss_t - s_t * s_t / nf) / (nf - 1.0)).max(0.0);
+        // `(n − 1) = 0` makes a one-sample variance NaN. Constant streams
+        // can leave `ss − s²/n` a few ulps below zero; clamp those to 0,
+        // but let NaN through (`NaN < 0` is false).
+        let variance = (ss_t - s_t * s_t / nf) / (nf - 1.0);
+        let variance = if variance < 0.0 { 0.0 } else { variance };
         Summary {
             count: n,
             mean,
@@ -265,39 +231,39 @@ mod tests {
     }
 
     #[test]
-    fn fused_summary_matches_reference_on_a_window() {
+    fn summary_matches_free_functions_on_a_window() {
         // A gravity-offset sinusoid like a real accelerometer magnitude
-        // stream, at the paper's 300-sample window and a ragged tail length.
+        // stream, at the paper's 300-sample window and ragged tail lengths.
         for n in [300usize, 301, 302, 303, 8, 11] {
             let data: Vec<f64> = (0..n).map(|i| 9.81 + (i as f64 * 0.37).sin()).collect();
-            let r = Summary::from_slice(&data);
-            let f = Summary::from_slice_fused(&data);
-            assert_eq!(f.count, r.count);
-            assert_eq!(f.min.to_bits(), r.min.to_bits(), "min is exact");
-            assert_eq!(f.max.to_bits(), r.max.to_bits(), "max is exact");
-            assert!((f.mean - r.mean).abs() <= 1e-12 * r.mean.abs());
-            assert!((f.variance - r.variance).abs() <= 1e-9 * r.variance.abs().max(1.0));
+            let s = Summary::from_slice(&data);
+            assert_eq!(s.count, n);
+            assert_eq!(s.min.to_bits(), min(&data).to_bits(), "min is exact");
+            assert_eq!(s.max.to_bits(), max(&data).to_bits(), "max is exact");
+            assert!((s.mean - mean(&data)).abs() <= 1e-12 * mean(&data).abs());
+            let v = variance(&data);
+            assert!((s.variance - v).abs() <= 1e-9 * v.abs().max(1.0));
         }
     }
 
     #[test]
-    fn fused_summary_short_input_contracts() {
-        // < 8 samples falls through to the reference path, inheriting its
-        // NaN contracts verbatim.
-        let e = Summary::from_slice_fused(&[]);
+    fn summary_short_input_contracts() {
+        let e = Summary::from_slice(&[]);
+        assert_eq!(e.count, 0);
         assert!(e.mean.is_nan() && e.variance.is_nan() && e.min.is_nan() && e.max.is_nan());
-        let one = Summary::from_slice_fused(&[3.5]);
+        let one = Summary::from_slice(&[3.5]);
         assert_eq!(one.mean, 3.5);
         assert!(one.variance.is_nan());
+        assert_eq!((one.min, one.max), (3.5, 3.5));
     }
 
     #[test]
-    fn fused_summary_constant_stream_has_zero_variance() {
+    fn summary_constant_stream_has_zero_variance() {
         let data = vec![42.0; 300];
-        let f = Summary::from_slice_fused(&data);
-        assert_eq!(f.variance, 0.0);
-        assert_eq!(f.mean, 42.0);
-        assert_eq!((f.min, f.max), (42.0, 42.0));
+        let s = Summary::from_slice(&data);
+        assert_eq!(s.variance, 0.0);
+        assert_eq!(s.mean, 42.0);
+        assert_eq!((s.min, s.max), (42.0, 42.0));
     }
 
     #[test]
@@ -305,8 +271,8 @@ mod tests {
         let data = [1.0, 2.0, 3.0];
         let s = Summary::from_slice(&data);
         assert_eq!(s.count, 3);
-        assert_eq!(s.mean, mean(&data));
-        assert_eq!(s.variance, variance(&data));
+        assert_eq!(s.mean, 2.0);
+        assert_eq!(s.variance, 1.0);
         assert_eq!(s.range(), 2.0);
         assert!((s.std_dev() - 1.0).abs() < 1e-12);
     }
