@@ -1,12 +1,11 @@
 //! Shared helpers for the `repro-*` binaries: table formatting and
 //! paper-vs-measured reporting.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the index) and prints the paper's value next to the
-//! measured one. Run them with `cargo run --release -p smarteryou-bench
-//! --bin repro-<id>`.
-
-pub mod fleet;
+//! Each `repro-<id>` binary in `src/bin/` regenerates one table or figure
+//! of the paper (the id names it: `repro-table7`, `repro-fig5`, ...) and
+//! prints the paper's value next to the measured one. Run them with
+//! `cargo run --release -p smarteryou-bench --bin repro-<id>`. The fleet
+//! benchmark lives in `fleetbench/`.
 
 use std::fmt::Display;
 

@@ -175,13 +175,35 @@ impl SystemConfig {
         self
     }
 
-    /// Validates cross-field consistency (window must hold at least a few
-    /// samples for the DFT features to exist).
+    /// Validates every field the `with_*` builders assert on, plus
+    /// cross-field consistency (window must hold at least a few samples
+    /// for the DFT features to exist). A decoded snapshot bypasses the
+    /// builders, so this is the check that keeps its configuration in
+    /// range.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when the window is too short.
+    /// Returns [`CoreError::InvalidConfig`] when the window length, the
+    /// sampling rate or ρ is not finite and positive, the training-set
+    /// size is below 20, or the window is too short.
     pub fn validate(&self) -> Result<(), CoreError> {
+        for (name, value) in [
+            ("window length", self.window_secs),
+            ("sample rate", self.sample_rate),
+            ("rho", self.rho),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "{name} must be finite and positive, got {value}"
+                )));
+            }
+        }
+        if self.data_size < 20 {
+            return Err(CoreError::InvalidConfig(format!(
+                "data size {} is too small (at least 20)",
+                self.data_size
+            )));
+        }
         if self.window_samples() < 8 {
             return Err(CoreError::InvalidConfig(format!(
                 "window of {} samples is too short for spectral features",

@@ -76,27 +76,13 @@ pub fn magnitude_series_into(x: &[f64], y: &[f64], z: &[f64], out: &mut Vec<f64>
         x.len() == y.len() && y.len() == z.len(),
         "magnitude_series: axis length mismatch"
     );
-    let n = x.len();
     out.clear();
-    out.resize(n, 0.0);
-    // 4-lane chunked form of the elementwise map: same per-element
-    // expression as [`axis_magnitude`], so results are bit-identical to the
-    // scalar loop — the chunking only gives the autovectorizer independent
-    // lanes to fuse the three multiply-adds and the sqrt across.
-    let main = n - n % 4;
-    for (((o, xc), yc), zc) in out[..main]
-        .chunks_exact_mut(4)
-        .zip(x[..main].chunks_exact(4))
-        .zip(y[..main].chunks_exact(4))
-        .zip(z[..main].chunks_exact(4))
-    {
-        for l in 0..4 {
-            o[l] = (xc[l] * xc[l] + yc[l] * yc[l] + zc[l] * zc[l]).sqrt();
-        }
-    }
-    for i in main..n {
-        out[i] = axis_magnitude(x[i], y[i], z[i]);
-    }
+    out.extend(
+        x.iter()
+            .zip(y)
+            .zip(z)
+            .map(|((&x, &y), &z)| axis_magnitude(x, y, z)),
+    );
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Parity proptests pinning the batched (4-lane SoA) spectrum layout to the
-//! single-stream one, and the chunked magnitude kernel to its scalar
-//! reference. Both spectrum layouts run the same operations in the same
-//! order per lane, down to the final `sqrt(re² + im²) · (2/n)`, so every
-//! batched lane must be `to_bits`-equal to `SpectrumPlan::magnitude_into`,
-//! and the magnitude series bit-equal to `axis_magnitude`.
+//! single-stream one, and the magnitude series to `axis_magnitude`. Both
+//! spectrum layouts run the same operations in the same order per lane,
+//! down to the final `sqrt(re² + im²) · (2/n)`, so every batched lane must
+//! be `to_bits`-equal to `SpectrumPlan::magnitude_into`, and the magnitude
+//! series, a per-sample map of `axis_magnitude`, bit-equal to it.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -66,7 +66,7 @@ proptest! {
         check_batch_matches_scalar(n, &pool)?;
     }
 
-    /// The chunked magnitude kernel must be **bit-identical** to mapping
+    /// The magnitude series must be **bit-identical** to mapping
     /// [`axis_magnitude`] over the axes — it feeds both spectrum layouts.
     #[test]
     fn magnitude_series_is_bit_identical_to_axis_magnitude(

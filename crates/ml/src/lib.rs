@@ -12,7 +12,8 @@
 //! (`w* = Φ[K + ρIₙ]⁻¹y`, O(N³)-ish) and the **primal** form of Eq. 7
 //! (`w* = [S + ρI_J]⁻¹Φy`, O(M³)-ish) so the paper's complexity-reduction
 //! claim (§V-H1 and the appendix equivalence proof) is reproducible — see
-//! `tests/krr_equivalence.rs` and the `krr` criterion bench.
+//! `tests/krr_equivalence.rs` and the `repro-complexity` binary, which times
+//! the two forms.
 //!
 //! # Example
 //!

@@ -47,8 +47,9 @@
 //! }
 //! ```
 //!
-//! `cargo run --release -p smarteryou-bench --bin fleet` prints the
-//! windows/sec baseline at 100 / 1k / 10k simulated users.
+//! The fleet benchmark in `fleetbench/` measures windows/s and per-window
+//! decision latency on four named workloads; `BENCH_fleetbench.json` holds
+//! its committed result.
 //!
 //! At fleet scale most users are idle between ticks, so the engine can cap
 //! how many pipelines stay resident:

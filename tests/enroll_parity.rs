@@ -12,17 +12,26 @@
 //! completes the enrollment phase in one step, records the
 //! `EnrollmentComplete` event, adopts the workspace epoch, and serves its
 //! fits off the shared block (observable as fit-cache hits);
-//! `FleetEngine::enroll_many` batches a whole fleet against one workspace.
+//! `FleetEngine::enroll_many` batches a whole fleet against one workspace,
+//! building it exactly once per call whatever the batch size (and
+//! `ShardedFleet::enroll_many` at most once per non-empty shard) — the
+//! property that keeps batched enrollment near-linear in fleet size.
 
 mod common;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use common::{build_world, World, WorldSeeds};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use smarteryou::core::engine::ShardedFleet;
+use smarteryou::core::persist::MemorySnapshotStore;
 use smarteryou::core::{
-    CoreError, FleetEngine, ResponsePolicy, SystemEvent, SystemPhase, TrainingHandle,
+    Authenticator, CoreError, EnrollmentWorkspace, FleetEngine, NegativeEpoch, ResponsePolicy,
+    RetrainWorkspaceCache, SmarterYou, SystemConfig, SystemEvent, SystemPhase, TrainingHandle,
 };
-use smarteryou::ml::KrrFitCache;
+use smarteryou::ml::{KrrFitCache, KrrTailState};
 use smarteryou::sensors::{UsageContext, UserId, UserProfile};
 
 const SEEDS: WorldSeeds = WorldSeeds {
@@ -260,5 +269,172 @@ fn fleet_engine_enroll_many_batches_the_whole_fleet() {
             "user {u}: expected shared-block hits, saw {hits}"
         );
         assert_eq!(misses, 0, "user {u}: unexpected fallback fit");
+    }
+}
+
+/// A [`TrainingHandle`] that forwards every call to the world's server and
+/// counts workspace builds and per-user training calls.
+#[derive(Debug)]
+struct CountingHandle {
+    inner: Arc<dyn TrainingHandle>,
+    workspaces: AtomicUsize,
+    trainings: AtomicUsize,
+}
+
+impl CountingHandle {
+    fn new(inner: Arc<dyn TrainingHandle>) -> Self {
+        CountingHandle {
+            inner,
+            workspaces: AtomicUsize::new(0),
+            trainings: AtomicUsize::new(0),
+        }
+    }
+
+    fn workspaces(&self) -> usize {
+        self.workspaces.load(Ordering::SeqCst)
+    }
+
+    fn trainings(&self) -> usize {
+        self.trainings.load(Ordering::SeqCst)
+    }
+}
+
+impl TrainingHandle for CountingHandle {
+    fn train_authenticator(
+        &self,
+        positives: &[Vec<Vec<f64>>; 2],
+        cfg: &SystemConfig,
+        rng: &mut StdRng,
+    ) -> Result<Authenticator, CoreError> {
+        self.trainings.fetch_add(1, Ordering::SeqCst);
+        self.inner.train_authenticator(positives, cfg, rng)
+    }
+
+    fn train_authenticator_epoch(
+        &self,
+        positives: &[Vec<Vec<f64>>; 2],
+        cfg: &SystemConfig,
+        rng: &mut StdRng,
+        epoch: &mut Option<NegativeEpoch>,
+        caches: &mut [KrrFitCache; 2],
+    ) -> Result<Authenticator, CoreError> {
+        self.trainings.fetch_add(1, Ordering::SeqCst);
+        self.inner
+            .train_authenticator_epoch(positives, cfg, rng, epoch, caches)
+    }
+
+    fn train_authenticator_epoch_shared(
+        &self,
+        positives: &[Vec<Vec<f64>>; 2],
+        cfg: &SystemConfig,
+        rng: &mut StdRng,
+        epoch: &mut Option<NegativeEpoch>,
+        caches: &mut [KrrFitCache; 2],
+        tails: &mut [Option<KrrTailState>; 2],
+        ws_cache: &RetrainWorkspaceCache,
+    ) -> Result<Authenticator, CoreError> {
+        self.trainings.fetch_add(1, Ordering::SeqCst);
+        self.inner
+            .train_authenticator_epoch_shared(positives, cfg, rng, epoch, caches, tails, ws_cache)
+    }
+
+    fn enrollment_workspace(
+        &self,
+        cfg: &SystemConfig,
+        rng: &mut StdRng,
+    ) -> Result<EnrollmentWorkspace, CoreError> {
+        self.workspaces.fetch_add(1, Ordering::SeqCst);
+        self.inner.enrollment_workspace(cfg, rng)
+    }
+}
+
+/// A fleet-monitoring pipeline of `world` that trains through `handle`.
+fn counted_pipeline(world: &World, handle: &Arc<CountingHandle>, u: usize) -> SmarterYou {
+    SmarterYou::new(
+        world.cfg.clone(),
+        world.detector.clone(),
+        handle.clone(),
+        0xC0DE ^ (u as u64 + 1),
+    )
+    .expect("valid config")
+    .with_response_policy(ResponsePolicy {
+        rejects_to_lock: usize::MAX,
+    })
+}
+
+/// Batched enrollment must reuse the shared negative workspace: one
+/// `FleetEngine::enroll_many` call builds it exactly once, for 3 users as
+/// for 30 (the harvested buffers fanned out over the fleet), and never
+/// falls back to per-user training. A per-user workspace or refit would
+/// make enrollment cost superlinear in fleet size.
+#[test]
+fn enroll_many_builds_one_workspace_per_batch() {
+    let world = build_world(3, WINDOW_SECS, SEEDS);
+    let buffers: Vec<[Vec<Vec<f64>>; 2]> = world
+        .users
+        .iter()
+        .enumerate()
+        .map(|(u, profile)| enroll_buffers(&world, profile, 0xA11CE ^ (u as u64 + 1)))
+        .collect();
+    let fan_out = |users: usize| -> Vec<(UserId, [Vec<Vec<f64>>; 2])> {
+        (0..users)
+            .map(|u| (UserId(u), buffers[u % buffers.len()].clone()))
+            .collect()
+    };
+
+    for users in [3, 30] {
+        let handle = Arc::new(CountingHandle::new(world.server.clone()));
+        let mut engine = FleetEngine::new();
+        for u in 0..users {
+            engine
+                .register(UserId(u), counted_pipeline(&world, &handle, u))
+                .expect("registers");
+        }
+        let enrolled = engine
+            .enroll_many(fan_out(users), &mut StdRng::seed_from_u64(0xCAB))
+            .expect("batched enrollment");
+        assert_eq!(enrolled, users);
+        assert_eq!(
+            handle.workspaces(),
+            1,
+            "{users} users: one enroll_many call must build one workspace"
+        );
+        assert_eq!(handle.trainings(), 0, "{users} users: per-user training");
+        for u in 0..users {
+            let pipeline = engine.pipeline(UserId(u)).expect("resident");
+            assert!(pipeline.authenticator().is_some(), "user {u} not enrolled");
+            assert_eq!(pipeline.fit_cache_stats().1, 0, "user {u}: fallback fit");
+        }
+    }
+
+    // Sharded: one enroll_many per shard that owns a batch member, so at
+    // most one workspace per non-empty shard.
+    let users = 30;
+    let handle = Arc::new(CountingHandle::new(world.server.clone()));
+    let mut fleet = ShardedFleet::new(4, Box::new(MemorySnapshotStore::new()), users);
+    let mut non_empty = std::collections::BTreeSet::new();
+    for u in 0..users {
+        non_empty.insert(
+            fleet
+                .register(UserId(u), counted_pipeline(&world, &handle, u))
+                .expect("registers"),
+        );
+    }
+    let enrolled = fleet
+        .enroll_many(fan_out(users), &mut StdRng::seed_from_u64(0xCAB))
+        .expect("sharded batched enrollment");
+    assert_eq!(enrolled, users);
+    assert!(
+        handle.workspaces() <= non_empty.len(),
+        "{} workspaces for {} non-empty shards",
+        handle.workspaces(),
+        non_empty.len()
+    );
+    assert_eq!(handle.trainings(), 0, "sharded: per-user training");
+    for u in 0..users {
+        let shard = fleet.shard_of(UserId(u)).expect("owned");
+        let pipeline = fleet.shard(shard).pipeline(UserId(u)).expect("resident");
+        assert!(pipeline.authenticator().is_some(), "user {u} not enrolled");
+        assert_eq!(pipeline.fit_cache_stats().1, 0, "user {u}: fallback fit");
     }
 }

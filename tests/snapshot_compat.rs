@@ -17,10 +17,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use smarteryou::core::persist::{FileSnapshotStore, PipelineSnapshot, SnapshotStore};
 use smarteryou::core::{
-    ContextDetector, ContextDetectorConfig, DeviceSet, FeatureExtractor, ResponsePolicy,
+    ContextDetector, ContextDetectorConfig, CoreError, DeviceSet, FeatureExtractor, ResponsePolicy,
     SmarterYou, SystemConfig, TrainingServer, SNAPSHOT_VERSION,
 };
 use smarteryou::sensors::{
@@ -207,6 +207,58 @@ fn file_store_loads_a_legacy_json_snapshot() {
     );
     assert_eq!(store.load(id).expect("binary reload"), Some(snapshot));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The value under `key` in a JSON object.
+fn field_mut<'v>(object: &'v mut Value, key: &str) -> &'v mut Value {
+    let Value::Object(fields) = object else {
+        panic!("expected an object holding {key}");
+    };
+    let (_, value) = fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no field {key}"));
+    value
+}
+
+/// A decoded snapshot bypasses the `SystemConfig::with_*` builders, so
+/// restore must reject every configuration they would: the golden fixture
+/// with one out-of-range configuration edit restores to a typed
+/// `InvalidConfig`, never a panic or a pipeline that scores.
+#[test]
+fn restore_rejects_out_of_range_configurations() {
+    let json = std::fs::read_to_string(snapshot_path()).expect("golden fixture");
+    let golden: Value = serde_json::from_str(&json).expect("golden fixture parses");
+    let cases: [(&str, &[(&str, Value)]); 5] = [
+        // 2 s × 50 Hz → -2 s × -50 Hz keeps the 100-sample window.
+        (
+            "negative window and rate",
+            &[
+                ("window_secs", Value::Float(-2.0)),
+                ("sample_rate", Value::Float(-50.0)),
+            ],
+        ),
+        ("negative rho", &[("rho", Value::Float(-1.0))]),
+        ("zero rho", &[("rho", Value::Float(0.0))]),
+        ("zero data size", &[("data_size", Value::Int(0))]),
+        ("data size 2", &[("data_size", Value::Int(2))]),
+    ];
+    for (label, edits) in cases {
+        let mut value = golden.clone();
+        let cfg = field_mut(&mut value, "cfg");
+        for (key, new) in edits {
+            *field_mut(cfg, key) = new.clone();
+        }
+        let snapshot =
+            PipelineSnapshot::from_json(&serde_json::to_string(&value).expect("re-encodes"))
+                .unwrap_or_else(|e| panic!("{label}: edited fixture decodes: {e}"));
+        let restored = SmarterYou::restore(snapshot, Arc::new(Mutex::new(TrainingServer::new())));
+        assert!(
+            matches!(restored, Err(CoreError::InvalidConfig(_))),
+            "{label}: expected InvalidConfig, got {:?}",
+            restored.map(|_| "a restored pipeline")
+        );
+    }
 }
 
 #[test]
