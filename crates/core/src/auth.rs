@@ -10,10 +10,32 @@ use crate::CoreError;
 /// One trained per-context authentication model: a feature scaler plus the
 /// KRR classifier whose parameters the smartphone downloads from the
 /// authentication server (§IV-A3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AuthModel {
     scaler: Scaler,
     krr: KrrModel,
+}
+
+/// Hand-written (rather than derived) so a decoded model is shape-checked:
+/// a scaler and classifier of different widths are a typed error instead
+/// of a model whose scoring would later panic in a width assert.
+impl serde::Deserialize for AuthModel {
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        decode_fields!(d, "AuthModel", scaler, krr);
+        let model = AuthModel::new(
+            required(scaler, "AuthModel", "scaler")?,
+            required(krr, "AuthModel", "krr")?,
+        );
+        if model.scaler.num_features() != model.krr.num_features() {
+            return Err(serde::DeError::custom(format!(
+                "AuthModel: {}-feature scaler for a {}-feature classifier",
+                model.scaler.num_features(),
+                model.krr.num_features()
+            )));
+        }
+        Ok(model)
+    }
 }
 
 impl AuthModel {
@@ -68,13 +90,38 @@ pub struct AuthDecision {
 
 /// The authentication component of the testing module (§IV-A2): holds the
 /// per-context models and classifies authentication feature vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Authenticator {
     mode: ContextMode,
     /// Per [`UsageContext::index`] slot; `Unified` mode stores one model in
     /// slot 0.
     models: Vec<AuthModel>,
     threshold: f64,
+}
+
+/// Hand-written (rather than derived) so a decoded authenticator passes
+/// the checks of [`Authenticator::per_context`] and
+/// [`Authenticator::unified`]: a model list of the wrong length or of
+/// disagreeing widths is a typed error instead of a later index panic.
+impl serde::Deserialize for Authenticator {
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        const TY: &str = "Authenticator";
+        decode_fields!(d, TY, mode, models, threshold);
+        let models: Vec<AuthModel> = required(models, TY, "models")?;
+        let threshold = required(threshold, TY, "threshold")?;
+        match required(mode, TY, "mode")? {
+            ContextMode::PerContext => Authenticator::per_context(models, threshold)
+                .map_err(|e| serde::DeError::custom(format!("{TY}: {e}"))),
+            ContextMode::Unified => match <[AuthModel; 1]>::try_from(models) {
+                Ok([model]) => Ok(Authenticator::unified(model, threshold)),
+                Err(models) => Err(serde::DeError::custom(format!(
+                    "{TY}: expected 1 unified model, got {}",
+                    models.len()
+                ))),
+            },
+        }
+    }
 }
 
 impl Authenticator {

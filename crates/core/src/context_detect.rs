@@ -17,10 +17,33 @@ use crate::CoreError;
 /// applied to the current user — reproduced by training on a population that
 /// excludes the device owner (see
 /// [`crate::experiment::context_detection_experiment`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ContextDetector {
     forest: RandomForestModel,
     extractor: FeatureExtractor,
+}
+
+/// Hand-written (rather than derived) so a decoded forest votes over
+/// exactly the [`UsageContext`] classes: any other class count is a typed
+/// error instead of a vote [`ContextDetector::detect_from_features`] could
+/// not map to a context.
+impl serde::Deserialize for ContextDetector {
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        decode_fields!(d, "ContextDetector", forest, extractor);
+        let forest: RandomForestModel = required(forest, "ContextDetector", "forest")?;
+        if forest.num_classes() != UsageContext::ALL.len() {
+            return Err(serde::DeError::custom(format!(
+                "ContextDetector: a {}-class forest for {} contexts",
+                forest.num_classes(),
+                UsageContext::ALL.len()
+            )));
+        }
+        Ok(ContextDetector {
+            forest,
+            extractor: required(extractor, "ContextDetector", "extractor")?,
+        })
+    }
 }
 
 /// Training configuration for the context detector.

@@ -26,9 +26,13 @@
 //!
 //! # Wire format
 //!
-//! A snapshot serializes to one [`serde::Value`] tree, and
-//! [`PipelineSnapshot::to_bytes`] writes that tree in a compact binary
-//! encoding — the only form the stores write:
+//! A snapshot streams through its serde impls, which emit and consume the
+//! events of the `serde` data model (null, bool, integer, float, string,
+//! array, object). [`PipelineSnapshot::to_bytes`] writes each event
+//! straight to a compact binary encoding, and
+//! [`PipelineSnapshot::from_bytes`] decodes the fields straight off those
+//! bytes; no intermediate value tree is built either way. The binary form
+//! is the only one the stores write:
 //!
 //! ```text
 //! snapshot := 89 53 59 53 4E 41 50 01   8-byte magic ("\x89SYSNAP\x01")
@@ -48,21 +52,31 @@
 //! decimal formatting or parsing (non-finite values included — JSON writes
 //! those as `null`; [`PipelineSnapshot::validate`] stays the gate on what
 //! a pipeline may hold). The decoder treats its input as hostile: lengths
-//! are checked against the bytes remaining before allocating, over-long
-//! varints and nesting deeper than a fixed limit are rejected, and each
+//! are checked against the bytes remaining before allocating; over-long
+//! varints, nesting deeper than a fixed limit (inside skipped values too),
+//! unknown tags, invalid UTF-8 and trailing bytes are rejected; and each
 //! failure is a typed [`PersistError`].
 //!
+//! Struct fields decode by name, in any order; unknown keys are skipped,
+//! and for a repeated key the first occurrence wins. Numbers coerce as the
+//! data model allows: a float field accepts an integer, and an integer
+//! field an integral float.
+//!
 //! JSON ([`PipelineSnapshot::to_json`] / [`PipelineSnapshot::from_json`])
-//! is the debug and golden-fixture export over the same tree. It is read
-//! as a legacy input too: [`PipelineSnapshot::from_bytes`] hands a document
-//! starting with `{` to the JSON reader, so snapshots written by older
-//! builds, and the committed golden fixture, keep loading.
+//! is the debug and golden-fixture export. It renders the same events
+//! through a `serde::Value` tree, so both forms share every field name,
+//! field-defaulting rule and schema check — one serde impl per type serves
+//! both. JSON is read as a legacy input too:
+//! [`PipelineSnapshot::from_bytes`] hands a document starting with `{` to
+//! the JSON reader, so snapshots written by older builds, and the
+//! committed golden fixture, keep loading.
 //!
 //! # Version & compatibility policy
 //!
 //! Snapshots are externally tagged with a format magic
-//! ([`SNAPSHOT_FORMAT`]) and a version number ([`SNAPSHOT_VERSION`]),
-//! checked **before** the body is decoded:
+//! ([`SNAPSHOT_FORMAT`]) and a version number ([`SNAPSHOT_VERSION`]), the
+//! first two entries of every snapshot this crate writes, checked
+//! **before** any body field is decoded:
 //!
 //! * A snapshot with the wrong magic is rejected with
 //!   [`PersistError::WrongFormat`] — it is some other document.
@@ -79,9 +93,11 @@
 //! The version covers the *semantic* content too: any change to what the
 //! recorded numbers mean (feature order, RNG algorithm, tracker semantics)
 //! must bump [`SNAPSHOT_VERSION`], because a restored pipeline replays
-//! those semantics. CI pins this with a committed golden
-//! `fixtures/pipeline_v1.snapshot.json` that the current code must keep
-//! restoring.
+//! those semantics. CI pins this with two committed golden fixtures:
+//! `fixtures/pipeline_v1.snapshot.json`, which the current code must keep
+//! restoring to its pinned probe decision, and
+//! `fixtures/pipeline_v1.snapshot.bin`, which it must decode and re-encode
+//! to the same bytes.
 //!
 //! This format is also the planned wire format between shards: moving a
 //! user from one engine process to another is an evict on the source and a
@@ -182,15 +198,6 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// The version/format envelope, decoded on its own before the body so that
-/// an incompatible snapshot fails with a version error rather than a
-/// confusing missing-field error from a different schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SnapshotHeader {
-    format: String,
-    version: u32,
-}
-
 /// The wire form of an outstanding deferred retrain: the trigger-time
 /// request minus what restore can rebuild locally — fit caches come back
 /// cold (they never change model bits) and the config is the pipeline's
@@ -214,20 +221,24 @@ pub struct PersistedRetrain {
 /// parsing (cold tails — the job simply refits from scratch); the vendored
 /// serde derive has no `#[serde(default)]`.
 impl serde::Deserialize for PersistedRetrain {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::__private::get_field;
-        let retrain_tails = match v.get("retrain_tails") {
-            Some(entry) => <[Option<KrrTailState>; 2]>::from_value(entry).map_err(|e| {
-                serde::DeError::custom(format!("PersistedRetrain.retrain_tails: {e}"))
-            })?,
-            None => [None, None],
-        };
-        Ok(PersistedRetrain {
-            positives: get_field(v, "PersistedRetrain", "positives")?,
-            rng_state: get_field(v, "PersistedRetrain", "rng_state")?,
-            negative_epoch: get_field(v, "PersistedRetrain", "negative_epoch")?,
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        const TY: &str = "PersistedRetrain";
+        decode_fields!(
+            d,
+            TY,
+            positives,
+            rng_state,
+            negative_epoch,
             retrain_tails,
-            day: get_field(v, "PersistedRetrain", "day")?,
+            day
+        );
+        Ok(PersistedRetrain {
+            positives: required(positives, TY, "positives")?,
+            rng_state: required(rng_state, TY, "rng_state")?,
+            negative_epoch: required(negative_epoch, TY, "negative_epoch")?,
+            retrain_tails: retrain_tails.unwrap_or([None, None]),
+            day: required(day, TY, "day")?,
         })
     }
 }
@@ -309,40 +320,91 @@ pub struct PipelineSnapshot {
 /// and the committed golden v1 fixture must keep restoring without a
 /// version bump (the additions change no existing field's meaning).
 impl serde::Deserialize for PipelineSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::__private::get_field;
-        fn field_or<T: serde::Deserialize>(
-            v: &serde::Value,
-            field: &str,
-            default: T,
-        ) -> Result<T, serde::DeError> {
-            match v.get(field) {
-                Some(entry) => T::from_value(entry)
-                    .map_err(|e| serde::DeError::custom(format!("PipelineSnapshot.{field}: {e}"))),
-                None => Ok(default),
-            }
-        }
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        const TY: &str = "PipelineSnapshot";
+        decode_fields!(
+            d,
+            TY,
+            format,
+            version,
+            cfg,
+            detector,
+            authenticator,
+            response,
+            tracker,
+            buffers,
+            recent,
+            events,
+            day,
+            rng_state,
+            planned_window,
+            event_capacity,
+            negative_epoch,
+            retrain_tails,
+            retrain_mode,
+            retrain_in_flight,
+        );
         Ok(PipelineSnapshot {
-            format: get_field(v, "PipelineSnapshot", "format")?,
-            version: get_field(v, "PipelineSnapshot", "version")?,
-            cfg: get_field(v, "PipelineSnapshot", "cfg")?,
-            detector: get_field(v, "PipelineSnapshot", "detector")?,
-            authenticator: get_field(v, "PipelineSnapshot", "authenticator")?,
-            response: get_field(v, "PipelineSnapshot", "response")?,
-            tracker: get_field(v, "PipelineSnapshot", "tracker")?,
-            buffers: get_field(v, "PipelineSnapshot", "buffers")?,
-            recent: get_field(v, "PipelineSnapshot", "recent")?,
-            events: get_field(v, "PipelineSnapshot", "events")?,
-            day: get_field(v, "PipelineSnapshot", "day")?,
-            rng_state: get_field(v, "PipelineSnapshot", "rng_state")?,
-            planned_window: get_field(v, "PipelineSnapshot", "planned_window")?,
-            event_capacity: field_or(v, "event_capacity", crate::pipeline::DEFAULT_EVENT_CAPACITY)?,
-            negative_epoch: field_or(v, "negative_epoch", None)?,
-            retrain_tails: field_or(v, "retrain_tails", [None, None])?,
-            retrain_mode: field_or(v, "retrain_mode", RetrainMode::Inline)?,
-            retrain_in_flight: field_or(v, "retrain_in_flight", None)?,
+            format: required(format, TY, "format")?,
+            version: required(version, TY, "version")?,
+            cfg: required(cfg, TY, "cfg")?,
+            detector: required(detector, TY, "detector")?,
+            authenticator: required(authenticator, TY, "authenticator")?,
+            response: required(response, TY, "response")?,
+            tracker: required(tracker, TY, "tracker")?,
+            buffers: required(buffers, TY, "buffers")?,
+            recent: required(recent, TY, "recent")?,
+            events: required(events, TY, "events")?,
+            day: required(day, TY, "day")?,
+            rng_state: required(rng_state, TY, "rng_state")?,
+            planned_window: required(planned_window, TY, "planned_window")?,
+            event_capacity: event_capacity.unwrap_or(crate::pipeline::DEFAULT_EVENT_CAPACITY),
+            negative_epoch: negative_epoch.unwrap_or(None),
+            retrain_tails: retrain_tails.unwrap_or([None, None]),
+            retrain_mode: retrain_mode.unwrap_or(RetrainMode::Inline),
+            retrain_in_flight: retrain_in_flight.unwrap_or(None),
         })
     }
+}
+
+/// Checks the format/version envelope at the head of a snapshot's
+/// top-level object, before any body field is decoded, so an incompatible
+/// snapshot fails with a version error rather than a missing-field error
+/// from a different schema. Every snapshot this crate writes leads with
+/// the two envelope fields, so the scan stops after them; other entries
+/// met before both are found are skipped.
+fn check_envelope<D: serde::Deserializer>(d: &mut D) -> Result<(), PersistError> {
+    use serde::__private::{field, object, required};
+    const TY: &str = "PipelineSnapshot";
+    let read = |d: &mut D| -> Result<(String, u32), serde::DeError> {
+        let (mut format, mut version) = (None, None);
+        for _ in 0..object(d, TY)? {
+            if format.is_some() && version.is_some() {
+                break;
+            }
+            match d.key()? {
+                "format" if format.is_none() => format = Some(field(d, TY, "format")?),
+                "version" if version.is_none() => version = Some(field(d, TY, "version")?),
+                _ => d.skip()?,
+            }
+        }
+        Ok((
+            required(format, TY, "format")?,
+            required(version, TY, "version")?,
+        ))
+    };
+    let (format, version) = read(d).map_err(|e| PersistError::Malformed(e.to_string()))?;
+    if format != SNAPSHOT_FORMAT {
+        return Err(PersistError::WrongFormat(format));
+    }
+    if version != SNAPSHOT_VERSION {
+        return Err(PersistError::UnsupportedVersion {
+            found: version,
+            supported: SNAPSHOT_VERSION,
+        });
+    }
+    Ok(())
 }
 
 impl PipelineSnapshot {
@@ -359,7 +421,7 @@ impl PipelineSnapshot {
     /// Serializes to the binary wire form the stores write (see the
     /// [module docs](self#wire-format)).
     pub fn to_bytes(&self) -> Vec<u8> {
-        wire::encode(&self.to_value())
+        wire::encode(self)
     }
 
     /// Decodes and schema-checks a snapshot from its binary wire form. A
@@ -380,7 +442,10 @@ impl PipelineSnapshot {
                 .map_err(|e| PersistError::Malformed(format!("legacy JSON snapshot: {e}")))?;
             return Self::from_json(json);
         }
-        Self::from_tree(&wire::decode(bytes)?)
+        check_envelope(&mut wire::Reader::new(bytes)?)?;
+        let snapshot: Self = wire::decode(bytes)?;
+        snapshot.validate()?;
+        Ok(snapshot)
     }
 
     /// Serializes to compact JSON: the debug and golden-fixture export.
@@ -400,27 +465,9 @@ impl PipelineSnapshot {
     pub fn from_json(json: &str) -> Result<Self, PersistError> {
         let value: serde::Value =
             serde_json::from_str(json).map_err(|e| PersistError::Malformed(e.to_string()))?;
-        Self::from_tree(&value)
-    }
-
-    /// The decode steps both wire forms share. The envelope is checked on
-    /// the value tree before the body is decoded, so an incompatible
-    /// snapshot fails with a version error rather than a missing-field
-    /// error from a different schema.
-    fn from_tree(value: &serde::Value) -> Result<Self, PersistError> {
-        let header = SnapshotHeader::from_value(value)
-            .map_err(|e| PersistError::Malformed(e.to_string()))?;
-        if header.format != SNAPSHOT_FORMAT {
-            return Err(PersistError::WrongFormat(header.format));
-        }
-        if header.version != SNAPSHOT_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                found: header.version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let snapshot = PipelineSnapshot::from_value(value)
-            .map_err(|e| PersistError::Malformed(e.to_string()))?;
+        check_envelope(&mut serde::ValueDeserializer::new(&value))?;
+        let snapshot =
+            Self::from_value(&value).map_err(|e| PersistError::Malformed(e.to_string()))?;
         snapshot.validate()?;
         Ok(snapshot)
     }
@@ -1612,6 +1659,85 @@ mod tests {
         assert!(matches!(
             PipelineSnapshot::from_bytes(b"{\"format\":"),
             Err(PersistError::Malformed(_))
+        ));
+    }
+
+    /// Struct fields decode by name on both wire forms: entries in any
+    /// order after the envelope, unknown keys skipped at any depth, and the
+    /// first occurrence of a repeated key winning (as `Value::get` does).
+    #[test]
+    fn both_wire_forms_apply_the_field_rules() {
+        use serde::{Serialize, Value};
+
+        fn entries(value: &mut Value) -> &mut Vec<(String, Value)> {
+            match value {
+                Value::Object(entries) => entries,
+                other => panic!("expected an object, found {}", other.kind()),
+            }
+        }
+        fn reverse_objects(value: &mut Value) {
+            match value {
+                Value::Object(entries) => {
+                    entries.reverse();
+                    entries.iter_mut().for_each(|(_, v)| reverse_objects(v));
+                }
+                Value::Array(items) => items.iter_mut().for_each(reverse_objects),
+                _ => {}
+            }
+        }
+
+        let mut snap = minimal_snapshot();
+        snap.retrain_mode = RetrainMode::Deferred;
+        snap.retrain_in_flight = Some(PersistedRetrain {
+            positives: [vec![vec![3.0, 4.0]], Vec::new()],
+            rng_state: [9, 8, 7, 6],
+            negative_epoch: None,
+            retrain_tails: [None, None],
+            day: 1.25,
+        });
+        let mut tree = snap.to_value();
+        let top = entries(&mut tree);
+        let body: Vec<_> = top.drain(2..).rev().collect();
+        assert_eq!(
+            [top[0].0.as_str(), top[1].0.as_str()],
+            ["format", "version"],
+            "the envelope leads"
+        );
+        top.extend(body);
+        top.iter_mut().skip(2).for_each(|(_, v)| reverse_objects(v));
+        // Unknown keys at the top level and inside a nested struct …
+        top.push((
+            "added_later".into(),
+            Value::Array(vec![Value::Str("x".into()), Value::Object(Vec::new())]),
+        ));
+        let (_, cfg) = top.iter_mut().find(|(k, _)| k == "cfg").expect("cfg");
+        entries(cfg).insert(1, ("unknown_knob".into(), Value::Float(0.5)));
+        // … and a repeated key, whose first occurrence wins.
+        top.push(("day".into(), Value::Float(snap.day + 7.0)));
+
+        let json = serde_json::to_string(&tree).unwrap();
+        assert_eq!(PipelineSnapshot::from_json(&json).unwrap(), snap);
+        assert_eq!(
+            PipelineSnapshot::from_bytes(&wire::encode(&tree)).unwrap(),
+            snap
+        );
+
+        // An unknown key whose value nests far past MAX_DEPTH: the skip
+        // stops at the limit with a typed error, however deep the bytes go.
+        entries(&mut tree).push(("deep".into(), Value::Null));
+        let mut deep = wire::encode(&tree);
+        assert_eq!(
+            deep.pop(),
+            Some(0x00),
+            "the placeholder null ends the bytes"
+        );
+        for _ in 0..100_000 {
+            deep.extend_from_slice(&[0x07, 0x01]); // a one-item array
+        }
+        deep.push(0x00);
+        assert!(matches!(
+            PipelineSnapshot::from_bytes(&deep),
+            Err(PersistError::Malformed(msg)) if msg.contains("nesting")
         ));
     }
 

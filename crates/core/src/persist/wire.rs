@@ -1,22 +1,27 @@
 //! The binary snapshot wire format: a compact, self-describing encoding of
-//! the [`serde::Value`] tree a [`PipelineSnapshot`](super::PipelineSnapshot)
-//! serializes to. The tree — and so every field name, field-defaulting rule
-//! and schema check — is the one the JSON form uses; only the bytes differ.
-//! The byte layout is tabled in the parent module's "Wire format" section.
+//! the `serde` data model, written and read as a stream. [`encode`] drives
+//! a [`serde::Serializer`] that appends each event's bytes as it arrives,
+//! and [`Reader`] is a [`serde::Deserializer`] that yields events straight
+//! off the bytes, so a [`PipelineSnapshot`](super::PipelineSnapshot) goes to
+//! and from its wire form without an intermediate tree. Field names and
+//! field rules (defaults, order, unknown keys) are the serde impls', shared
+//! with the JSON form; only the bytes differ. The byte layout is tabled in
+//! the parent module's "Wire format" section.
 //!
 //! Decoding treats its input as hostile: every length is checked against
 //! the bytes remaining before anything is allocated for it, varints longer
-//! than 64 bits and nesting deeper than [`MAX_DEPTH`] are rejected, and
-//! every failure is a typed [`PersistError`], never a panic.
+//! than 64 bits, nesting deeper than [`MAX_DEPTH`] (in skipped values too),
+//! unknown tags, invalid UTF-8 and trailing bytes are rejected, and every
+//! failure is a typed [`PersistError`], never a panic.
 
-use serde::Value;
+use serde::{DeError, Deserialize, Deserializer, Event, Serialize, Serializer};
 
 use super::PersistError;
 
 /// Leads every binary snapshot. The first byte is not ASCII, so the magic
 /// can never be mistaken for the `{` that opens a legacy JSON snapshot;
 /// the last byte numbers the encoding (the *schema* version lives in the
-/// tree, as in JSON).
+/// snapshot's envelope, as in JSON).
 pub(super) const MAGIC: [u8; 8] = *b"\x89SYSNAP\x01";
 
 /// Deepest container nesting a decoder accepts. The snapshot data model
@@ -35,134 +40,162 @@ const TAG_ARRAY: u8 = 0x07;
 const TAG_OBJECT: u8 = 0x08;
 
 /// Encodes `value` behind [`MAGIC`].
-pub(super) fn encode(value: &Value) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(&MAGIC);
-    write_value(&mut out, value);
-    out
+pub(super) fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+    let mut writer = Writer(Vec::with_capacity(4096));
+    writer.0.extend_from_slice(&MAGIC);
+    value.serialize(&mut writer);
+    writer.0
 }
 
-fn write_value(out: &mut Vec<u8>, value: &Value) {
-    match value {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        &Value::Int(n) => {
-            out.push(TAG_INT);
-            write_varint(out, ((n << 1) ^ (n >> 63)) as u64);
+/// The encoding sink: each event's bytes, appended in order. Containers
+/// are length-prefixed, so closing one writes nothing.
+struct Writer(Vec<u8>);
+
+impl Writer {
+    fn varint(&mut self, mut n: u64) {
+        while n >= 0x80 {
+            self.0.push(n as u8 | 0x80);
+            n >>= 7;
         }
-        Value::UInt(n) => {
-            out.push(TAG_UINT);
-            write_varint(out, *n);
-        }
-        Value::Float(f) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            write_str(out, s);
-        }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            write_varint(out, items.len() as u64);
-            for item in items {
-                write_value(out, item);
-            }
-        }
-        Value::Object(entries) => {
-            out.push(TAG_OBJECT);
-            write_varint(out, entries.len() as u64);
-            for (key, item) in entries {
-                write_str(out, key);
-                write_value(out, item);
-            }
-        }
+        self.0.push(n as u8);
+    }
+
+    fn tagged_len(&mut self, tag: u8, len: usize) {
+        self.0.push(tag);
+        self.varint(len as u64);
+    }
+
+    fn string(&mut self, s: &str) {
+        self.varint(s.len() as u64);
+        self.0.extend_from_slice(s.as_bytes());
     }
 }
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn write_varint(out: &mut Vec<u8>, mut n: u64) {
-    while n >= 0x80 {
-        out.push(n as u8 | 0x80);
-        n >>= 7;
+impl Serializer for Writer {
+    fn null(&mut self) {
+        self.0.push(TAG_NULL);
     }
-    out.push(n as u8);
+    fn bool(&mut self, v: bool) {
+        self.0.push(if v { TAG_TRUE } else { TAG_FALSE });
+    }
+    fn int(&mut self, n: i64) {
+        self.0.push(TAG_INT);
+        self.varint(((n << 1) ^ (n >> 63)) as u64);
+    }
+    fn uint(&mut self, n: u64) {
+        self.0.push(TAG_UINT);
+        self.varint(n);
+    }
+    fn float(&mut self, f: f64) {
+        self.0.push(TAG_FLOAT);
+        self.0.extend_from_slice(&f.to_le_bytes());
+    }
+    fn str(&mut self, s: &str) {
+        self.0.push(TAG_STR);
+        self.string(s);
+    }
+    fn array(&mut self, len: usize) {
+        self.tagged_len(TAG_ARRAY, len);
+    }
+    fn object(&mut self, len: usize) {
+        self.tagged_len(TAG_OBJECT, len);
+    }
+    fn key(&mut self, key: &str) {
+        self.string(key);
+    }
+    fn end(&mut self) {}
 }
 
-/// Decodes a whole binary snapshot (magic included) into its value tree.
+/// Decodes a whole binary snapshot (magic included) as a `T`.
 ///
 /// # Errors
 ///
 /// [`PersistError::WrongFormat`] when the bytes do not start with
 /// [`MAGIC`]; [`PersistError::Malformed`] for truncation, an impossible
 /// length, an unknown tag, invalid UTF-8, an over-long varint, nesting past
-/// [`MAX_DEPTH`] or trailing bytes.
-pub(super) fn decode(bytes: &[u8]) -> Result<Value, PersistError> {
-    let head = &bytes[..bytes.len().min(MAGIC.len())];
-    if head != &MAGIC[..head.len()] {
-        return Err(PersistError::WrongFormat(format!(
-            "binary magic {head:02x?}"
-        )));
-    }
-    let mut reader = Reader {
-        bytes,
-        pos: head.len(),
-    };
-    if head.len() < MAGIC.len() {
-        return Err(reader.malformed("truncated magic"));
-    }
-    let value = reader.value(0)?;
+/// [`MAX_DEPTH`], trailing bytes, or events that are not a valid `T`.
+pub(super) fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, PersistError> {
+    let mut reader = Reader::new(bytes)?;
+    let value = T::deserialize(&mut reader).map_err(|e| PersistError::Malformed(e.to_string()))?;
     if reader.pos != bytes.len() {
-        return Err(reader.malformed("trailing bytes after the snapshot"));
+        return Err(PersistError::Malformed(
+            reader
+                .error("trailing bytes after the snapshot")
+                .to_string(),
+        ));
     }
     Ok(value)
 }
 
-struct Reader<'a> {
+/// The decoding source: yields the events of the value after [`MAGIC`].
+pub(super) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn malformed(&self, what: &str) -> PersistError {
-        PersistError::Malformed(format!("binary snapshot: {what} at byte {}", self.pos))
+    /// A reader positioned after the magic.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::WrongFormat`] when the bytes do not start with
+    /// [`MAGIC`]; [`PersistError::Malformed`] when they stop inside it.
+    pub(super) fn new(bytes: &'a [u8]) -> Result<Self, PersistError> {
+        let head = &bytes[..bytes.len().min(MAGIC.len())];
+        if head != &MAGIC[..head.len()] {
+            return Err(PersistError::WrongFormat(format!(
+                "binary magic {head:02x?}"
+            )));
+        }
+        let reader = Reader {
+            bytes,
+            pos: head.len(),
+            depth: 0,
+        };
+        if head.len() < MAGIC.len() {
+            return Err(PersistError::Malformed(
+                reader.error("truncated magic").to_string(),
+            ));
+        }
+        Ok(reader)
+    }
+
+    fn error(&self, what: &str) -> DeError {
+        DeError::custom(format!("binary snapshot: {what} at byte {}", self.pos))
     }
 
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DeError> {
         if n > self.remaining() {
-            return Err(self.malformed("truncated"));
+            return Err(self.error("truncated"));
         }
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
-    fn byte(&mut self) -> Result<u8, PersistError> {
+    fn byte(&mut self) -> Result<u8, DeError> {
         let b = *self
             .bytes
             .get(self.pos)
-            .ok_or_else(|| self.malformed("truncated"))?;
+            .ok_or_else(|| self.error("truncated"))?;
         self.pos += 1;
         Ok(b)
     }
 
-    fn varint(&mut self) -> Result<u64, PersistError> {
+    fn varint(&mut self) -> Result<u64, DeError> {
         let mut n = 0u64;
         let mut shift = 0;
         loop {
             let b = self.byte()?;
             // The tenth byte carries bit 63 alone.
             if shift == 63 && b > 1 {
-                return Err(self.malformed("varint overflows 64 bits"));
+                return Err(self.error("varint overflows 64 bits"));
             }
             n |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
@@ -175,71 +208,88 @@ impl<'a> Reader<'a> {
     /// A length prefix whose items need at least `min_item_bytes` each,
     /// checked against the bytes remaining so a forged length can never
     /// drive an allocation larger than the input.
-    fn len(&mut self, min_item_bytes: usize) -> Result<usize, PersistError> {
+    fn len(&mut self, min_item_bytes: usize) -> Result<usize, DeError> {
         let n = self.varint()?;
         match usize::try_from(n) {
             Ok(n) if n <= self.remaining() / min_item_bytes => Ok(n),
-            _ => Err(self.malformed(&format!("length {n} exceeds the bytes remaining"))),
+            _ => Err(self.error(&format!("length {n} exceeds the bytes remaining"))),
         }
     }
 
-    fn str(&mut self) -> Result<String, PersistError> {
+    fn str(&mut self) -> Result<&'a str, DeError> {
         let len = self.len(1)?;
         let bytes = self.take(len)?;
-        match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(_) => Err(self.malformed("invalid UTF-8 in a string")),
-        }
+        std::str::from_utf8(bytes).map_err(|_| self.error("invalid UTF-8 in a string"))
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, PersistError> {
-        match self.byte()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_FALSE => Ok(Value::Bool(false)),
-            TAG_TRUE => Ok(Value::Bool(true)),
+    /// Enters a container, bounding the nesting before its length is read.
+    fn open(&mut self) -> Result<(), DeError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+}
+
+impl Deserializer for Reader<'_> {
+    fn event(&mut self) -> Result<Event<'_>, DeError> {
+        Ok(match self.byte()? {
+            TAG_NULL => Event::Null,
+            TAG_FALSE => Event::Bool(false),
+            TAG_TRUE => Event::Bool(true),
             TAG_INT => {
                 let z = self.varint()?;
-                Ok(Value::Int((z >> 1) as i64 ^ -((z & 1) as i64)))
+                Event::Int((z >> 1) as i64 ^ -((z & 1) as i64))
             }
-            TAG_UINT => Ok(Value::UInt(self.varint()?)),
+            TAG_UINT => Event::UInt(self.varint()?),
             TAG_FLOAT => {
                 let bits: [u8; 8] = self.take(8)?.try_into().expect("take(8) yields 8 bytes");
-                Ok(Value::Float(f64::from_le_bytes(bits)))
+                Event::Float(f64::from_le_bytes(bits))
             }
-            TAG_STR => Ok(Value::Str(self.str()?)),
-            TAG_ARRAY | TAG_OBJECT if depth >= MAX_DEPTH => {
-                Err(self.malformed(&format!("nesting deeper than {MAX_DEPTH}")))
-            }
+            TAG_STR => Event::Str(self.str()?),
             TAG_ARRAY => {
+                self.open()?;
                 // Every item is at least its tag byte.
-                let n = self.len(1)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Array(items))
+                Event::Array(self.len(1)?)
             }
             TAG_OBJECT => {
+                self.open()?;
                 // Every entry is at least a key length and a value tag.
-                let n = self.len(2)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let key = self.str()?;
-                    entries.push((key, self.value(depth + 1)?));
-                }
-                Ok(Value::Object(entries))
+                Event::Object(self.len(2)?)
             }
             tag => {
                 self.pos -= 1;
-                Err(self.malformed(&format!("unknown tag {tag:#04x}")))
+                return Err(self.error(&format!("unknown tag {tag:#04x}")));
             }
+        })
+    }
+
+    fn take_null(&mut self) -> Result<bool, DeError> {
+        let null = self.bytes.get(self.pos) == Some(&TAG_NULL);
+        if null {
+            self.pos += 1;
         }
+        Ok(null)
+    }
+
+    fn key(&mut self) -> Result<&str, DeError> {
+        self.str()
+    }
+
+    fn end(&mut self) -> Result<(), DeError> {
+        self.depth = self
+            .depth
+            .checked_sub(1)
+            .ok_or_else(|| self.error("no container to close"))?;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn roundtrip(value: &Value) -> Value {
         decode(&encode(value)).expect("encoded tree decodes")
@@ -303,7 +353,8 @@ mod tests {
     /// UTF-8, trailing bytes, and the exact nesting boundary.
     #[test]
     fn hostile_inputs_are_typed_errors() {
-        let malformed = |bytes: &[u8]| matches!(decode(bytes), Err(PersistError::Malformed(_)));
+        let malformed =
+            |bytes: &[u8]| matches!(decode::<Value>(bytes), Err(PersistError::Malformed(_)));
         let with_magic = |body: &[u8]| [&MAGIC[..], body].concat();
 
         assert!(malformed(&with_magic(&[0x2a])));
@@ -318,7 +369,7 @@ mod tests {
             body.push(TAG_NULL);
             with_magic(&body)
         };
-        assert!(decode(&nested(MAX_DEPTH)).is_ok());
+        assert!(decode::<Value>(&nested(MAX_DEPTH)).is_ok());
         assert!(malformed(&nested(MAX_DEPTH + 1)));
     }
 }

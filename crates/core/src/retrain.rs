@@ -63,22 +63,20 @@ pub struct ConfidenceTracker {
 /// and an over-long legacy history is truncated to its most recent
 /// entries. The vendored serde derive has no `#[serde(default)]`.
 impl serde::Deserialize for ConfidenceTracker {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::__private::get_field;
-        let policy: RetrainPolicy = get_field(v, "ConfidenceTracker", "policy")?;
-        let retention = match v.get("retention") {
-            Some(entry) => usize::from_value(entry)
-                .map_err(|e| serde::DeError::custom(format!("ConfidenceTracker.retention: {e}")))?,
-            None => policy.period,
-        };
-        let mut history: VecDeque<(f64, f64)> = get_field(v, "ConfidenceTracker", "history")?;
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        const TY: &str = "ConfidenceTracker";
+        decode_fields!(d, TY, policy, recent, since_retrain, history, retention);
+        let policy: RetrainPolicy = required(policy, TY, "policy")?;
+        let retention = retention.unwrap_or(policy.period);
+        let mut history: VecDeque<(f64, f64)> = required(history, TY, "history")?;
         if history.len() > retention {
             history.drain(..history.len() - retention);
         }
         Ok(ConfidenceTracker {
             policy,
-            recent: get_field(v, "ConfidenceTracker", "recent")?,
-            since_retrain: get_field(v, "ConfidenceTracker", "since_retrain")?,
+            recent: required(recent, TY, "recent")?,
+            since_retrain: required(since_retrain, TY, "since_retrain")?,
             history,
             retention,
         })

@@ -155,7 +155,7 @@ proptest! {
         prop_assert!(parsed.is_ok(), "valid wire form rejected: {parsed:?}");
         let parsed = parsed.unwrap();
         prop_assert_eq!(&snap, &parsed);
-        // Both encodings of one tree decode to the same snapshot.
+        // Both wire forms decode to the same snapshot.
         let via_json = PipelineSnapshot::from_json(&snap.to_json());
         prop_assert!(via_json.is_ok(), "JSON export rejected: {via_json:?}");
         prop_assert_eq!(&parsed, &via_json.unwrap());

@@ -36,12 +36,15 @@ pub struct Matrix {
 /// corrupted, or forged — is rejected with a typed error instead of
 /// producing a matrix whose indexing would later panic.
 impl serde::Deserialize for Matrix {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let rows: usize = serde::__private::get_field(v, "Matrix", "rows")?;
-        let cols: usize = serde::__private::get_field(v, "Matrix", "cols")?;
-        let data: Vec<f64> = serde::__private::get_field(v, "Matrix", "data")?;
-        Matrix::from_vec(rows, cols, data)
-            .map_err(|e| serde::DeError::custom(format!("Matrix: {e}")))
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        decode_fields!(d, "Matrix", rows, cols, data);
+        Matrix::from_vec(
+            required(rows, "Matrix", "rows")?,
+            required(cols, "Matrix", "cols")?,
+            required(data, "Matrix", "data")?,
+        )
+        .map_err(|e| serde::DeError::custom(format!("Matrix: {e}")))
     }
 }
 

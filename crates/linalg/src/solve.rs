@@ -161,8 +161,9 @@ pub struct Cholesky {
 /// forged — is rejected with a typed error instead of producing a factor
 /// whose triangular solves would later panic.
 impl serde::Deserialize for Cholesky {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let l: Matrix = serde::__private::get_field(v, "Cholesky", "l")?;
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        serde::__private::decode_fields!(d, "Cholesky", l);
+        let l: Matrix = serde::__private::required(l, "Cholesky", "l")?;
         if l.rows() != l.cols() {
             return Err(serde::DeError::custom(format!(
                 "Cholesky factor must be square, got {}x{}",

@@ -100,10 +100,32 @@ impl Dataset {
 /// Z-score feature scaler fitted on training data and applied to test data —
 /// fit/transform must be split this way to avoid leaking test statistics
 /// into training (the cross-validation harness does this per fold).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Scaler {
     means: Vec<f64>,
     stds: Vec<f64>,
+}
+
+/// Hand-written (rather than derived) so deserialization is shape-checked:
+/// `means` and `stds` of different lengths are a typed error instead of a
+/// scaler whose [`Scaler::transform_vec`] width assert would later panic.
+impl serde::Deserialize for Scaler {
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        decode_fields!(d, "Scaler", means, stds);
+        let (means, stds): (Vec<f64>, Vec<f64>) = (
+            required(means, "Scaler", "means")?,
+            required(stds, "Scaler", "stds")?,
+        );
+        if means.len() != stds.len() {
+            return Err(serde::DeError::custom(format!(
+                "Scaler: {} means but {} stds",
+                means.len(),
+                stds.len()
+            )));
+        }
+        Ok(Scaler { means, stds })
+    }
 }
 
 impl Scaler {

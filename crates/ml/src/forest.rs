@@ -135,10 +135,37 @@ impl RandomForest {
 }
 
 /// A trained random forest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RandomForestModel {
     trees: Vec<DecisionTreeModel>,
     num_classes: usize,
+}
+
+/// Hand-written (rather than derived) so deserialization is shape-checked:
+/// an empty forest, or trees that disagree with each other on width or
+/// with the forest on classes, are a typed error instead of a forest whose
+/// votes would divide by zero or panic in a width assert.
+impl serde::Deserialize for RandomForestModel {
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        const TY: &str = "RandomForestModel";
+        decode_fields!(d, TY, trees, num_classes);
+        let forest = RandomForestModel {
+            trees: required(trees, TY, "trees")?,
+            num_classes: required(num_classes, TY, "num_classes")?,
+        };
+        let Some(first) = forest.trees.first() else {
+            return Err(serde::DeError::custom(format!("{TY}: no trees")));
+        };
+        if forest.trees.iter().any(|t| {
+            t.num_features() != first.num_features() || t.num_classes() != forest.num_classes
+        }) {
+            return Err(serde::DeError::custom(format!(
+                "{TY}: trees disagree on feature width or class count"
+            )));
+        }
+        Ok(forest)
+    }
 }
 
 impl RandomForestModel {

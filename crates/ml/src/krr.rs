@@ -387,12 +387,43 @@ pub(crate) enum KrrKind {
 ///
 /// For the linear kernel the model is an explicit weight vector `w*`; the
 /// paper's confidence score `CS(k) = xₖᵀ w*` (§V-I) is [`KrrModel::decision`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KrrModel {
     pub(crate) kind: KrrKind,
     pub(crate) x_mean: Vec<f64>,
     pub(crate) y_mean: f64,
     pub(crate) rho: f64,
+}
+
+/// Hand-written (rather than derived) so deserialization is shape-checked:
+/// a weight vector, training matrix or dual coefficient list whose width
+/// disagrees with `x_mean` is a typed error instead of a model whose
+/// scoring would later panic in a width assert.
+impl serde::Deserialize for KrrModel {
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        const TY: &str = "KrrModel";
+        decode_fields!(d, TY, kind, x_mean, y_mean, rho);
+        let model = KrrModel {
+            kind: required(kind, TY, "kind")?,
+            x_mean: required(x_mean, TY, "x_mean")?,
+            y_mean: required(y_mean, TY, "y_mean")?,
+            rho: required(rho, TY, "rho")?,
+        };
+        let width = model.x_mean.len();
+        let consistent = match &model.kind {
+            KrrKind::Linear { w } => w.len() == width,
+            KrrKind::Kernelized { train, alphas, .. } => {
+                train.cols() == width && alphas.len() == train.rows()
+            }
+        };
+        if !consistent {
+            return Err(serde::DeError::custom(format!(
+                "{TY}: parameters disagree with the {width}-feature centring mean"
+            )));
+        }
+        Ok(model)
+    }
 }
 
 impl KrrModel {

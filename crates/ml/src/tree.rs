@@ -257,11 +257,33 @@ fn gini(counts: &[u32]) -> f64 {
 }
 
 /// A trained decision tree (arena-allocated nodes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTreeModel {
     nodes: Vec<Node>,
     num_features: usize,
     num_classes: usize,
+}
+
+/// Hand-written (rather than derived) so deserialization is shape-checked.
+/// The builder pushes every child after its parent, so a decoded arena
+/// must have that shape too: a child pointing back at itself or an
+/// ancestor would send [`DecisionTreeModel::predict_proba`] round a cycle
+/// forever, and a child past the arena, a feature past the width or a leaf
+/// of the wrong class count would make it panic. Each is a typed error.
+impl serde::Deserialize for DecisionTreeModel {
+    fn deserialize<D: serde::Deserializer>(d: &mut D) -> Result<Self, serde::DeError> {
+        use serde::__private::{decode_fields, required};
+        const TY: &str = "DecisionTreeModel";
+        decode_fields!(d, TY, nodes, num_features, num_classes);
+        let tree = DecisionTreeModel {
+            nodes: required(nodes, TY, "nodes")?,
+            num_features: required(num_features, TY, "num_features")?,
+            num_classes: required(num_classes, TY, "num_classes")?,
+        };
+        tree.check_arena()
+            .map_err(|e| serde::DeError::custom(format!("{TY}: {e}")))?;
+        Ok(tree)
+    }
 }
 
 impl DecisionTreeModel {
@@ -278,6 +300,53 @@ impl DecisionTreeModel {
     /// Total nodes in the tree (splits + leaves).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The arena shape the builder guarantees and prediction relies on.
+    fn check_arena(&self) -> Result<(), String> {
+        let len = self.nodes.len();
+        if len == 0 {
+            return Err("empty node arena".into());
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            match node {
+                Node::Leaf { counts } => {
+                    if counts.len() != self.num_classes {
+                        return Err(format!(
+                            "leaf {i} counts {} classes of {}",
+                            counts.len(),
+                            self.num_classes
+                        ));
+                    }
+                    if counts
+                        .iter()
+                        .try_fold(0u32, |a, &c| a.checked_add(c))
+                        .is_none()
+                    {
+                        return Err(format!("leaf {i} counts overflow"));
+                    }
+                }
+                Node::Split {
+                    feature,
+                    left,
+                    right,
+                    ..
+                } => {
+                    if *feature >= self.num_features {
+                        return Err(format!(
+                            "split {i} tests feature {feature} of {}",
+                            self.num_features
+                        ));
+                    }
+                    if let Some(child) = [*left, *right].into_iter().find(|&c| c <= i || c >= len) {
+                        return Err(format!(
+                            "split {i} points at node {child}, not a later node of the {len}"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Per-class vote distribution at the leaf `x` reaches (normalised).

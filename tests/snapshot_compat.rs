@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
-use smarteryou::core::persist::{FileSnapshotStore, PipelineSnapshot, SnapshotStore};
+use smarteryou::core::persist::{FileSnapshotStore, PersistError, PipelineSnapshot, SnapshotStore};
 use smarteryou::core::{
     ContextDetector, ContextDetectorConfig, CoreError, DeviceSet, FeatureExtractor, ResponsePolicy,
     SmarterYou, SystemConfig, TrainingServer, SNAPSHOT_VERSION,
@@ -259,6 +259,159 @@ fn restore_rejects_out_of_range_configurations() {
             restored.map(|_| "a restored pipeline")
         );
     }
+}
+
+/// Element `i` of a JSON array.
+fn item_mut(array: &mut Value, i: usize) -> &mut Value {
+    let Value::Array(items) = array else {
+        panic!("expected an array holding item {i}");
+    };
+    &mut items[i]
+}
+
+/// The elements of a JSON array.
+fn items_mut(array: &mut Value) -> &mut Vec<Value> {
+    let Value::Array(items) = array else {
+        panic!("expected an array");
+    };
+    items
+}
+
+/// The per-context authentication models of a golden snapshot tree.
+fn auth_models(root: &mut Value) -> &mut Vec<Value> {
+    items_mut(field_mut(field_mut(root, "authenticator"), "models"))
+}
+
+/// The forest of a golden snapshot tree's context detector.
+fn forest(root: &mut Value) -> &mut Value {
+    field_mut(field_mut(root, "detector"), "forest")
+}
+
+/// The node arena of tree `t` of the detector's forest.
+fn tree_nodes(root: &mut Value, t: usize) -> &mut Vec<Value> {
+    items_mut(field_mut(
+        item_mut(field_mut(forest(root), "trees"), t),
+        "nodes",
+    ))
+}
+
+/// The payload of a `Split` or `Leaf` node.
+fn node_body<'v>(node: &'v mut Value, kind: &str) -> Option<&'v mut Value> {
+    let Value::Object(entries) = node else {
+        panic!("expected a tagged node");
+    };
+    entries.iter_mut().find(|(k, _)| k == kind).map(|(_, v)| v)
+}
+
+/// The first node of `kind` in tree 0's arena.
+fn first_node<'v>(root: &'v mut Value, kind: &str) -> &'v mut Value {
+    tree_nodes(root, 0)
+        .iter_mut()
+        .find_map(|node| node_body(node, kind))
+        .unwrap_or_else(|| panic!("tree 0 holds a {kind} node"))
+}
+
+/// Pops the last element of the array under `key`.
+fn pop(object: &mut Value, key: &str) {
+    items_mut(field_mut(object, key)).pop();
+}
+
+/// Models and decision trees decode only in shapes their constructors and
+/// builders produce: each golden-fixture edit below would otherwise decode
+/// into a pipeline that panics, or loops forever, once it scores or
+/// detects a window. Every one is a typed `Malformed` at decode.
+#[test]
+fn decoding_rejects_models_and_trees_that_cannot_score() {
+    let json = std::fs::read_to_string(snapshot_path()).expect("golden fixture");
+    let golden: Value = serde_json::from_str(&json).expect("golden fixture parses");
+    type Edit = fn(&mut Value);
+    let cases: [(&str, Edit); 15] = [
+        ("no authentication models", |root| auth_models(root).clear()),
+        ("one per-context model", |root| {
+            auth_models(root).pop();
+        }),
+        ("unified mode with two models", |root| {
+            *field_mut(field_mut(root, "authenticator"), "mode") = Value::Str("Unified".into());
+        }),
+        ("scaler stds narrower than its means", |root| {
+            pop(field_mut(&mut auth_models(root)[0], "scaler"), "stds");
+        }),
+        ("scaler narrower than its classifier", |root| {
+            let scaler = field_mut(&mut auth_models(root)[1], "scaler");
+            pop(scaler, "means");
+            pop(scaler, "stds");
+        }),
+        ("centring mean narrower than the weights", |root| {
+            pop(field_mut(&mut auth_models(root)[1], "krr"), "x_mean");
+        }),
+        ("weights narrower than the centring mean", |root| {
+            let krr = field_mut(&mut auth_models(root)[1], "krr");
+            pop(field_mut(field_mut(krr, "kind"), "Linear"), "w");
+        }),
+        ("per-context models of different widths", |root| {
+            let model = &mut auth_models(root)[1];
+            let scaler = field_mut(model, "scaler");
+            pop(scaler, "means");
+            pop(scaler, "stds");
+            let krr = field_mut(model, "krr");
+            pop(krr, "x_mean");
+            pop(field_mut(field_mut(krr, "kind"), "Linear"), "w");
+        }),
+        ("root split pointing at itself", |root| {
+            *field_mut(first_node(root, "Split"), "left") = Value::Int(0);
+        }),
+        ("split child past the arena", |root| {
+            let len = tree_nodes(root, 0).len();
+            *field_mut(first_node(root, "Split"), "right") = Value::Int(len as i64);
+        }),
+        ("split on a feature past the width", |root| {
+            *field_mut(first_node(root, "Split"), "feature") = Value::Int(14);
+        }),
+        ("leaf counting three classes", |root| {
+            items_mut(field_mut(first_node(root, "Leaf"), "counts")).push(Value::Int(0));
+        }),
+        ("empty node arena", |root| tree_nodes(root, 0).clear()),
+        ("forest without trees", |root| {
+            items_mut(field_mut(forest(root), "trees")).clear();
+        }),
+        ("trees of different widths", |root| {
+            let trees = field_mut(forest(root), "trees");
+            *field_mut(item_mut(trees, 1), "num_features") = Value::Int(15);
+        }),
+    ];
+    for (label, edit) in cases {
+        let mut value = golden.clone();
+        edit(&mut value);
+        let edited = serde_json::to_string(&value).expect("re-encodes");
+        let decoded = PipelineSnapshot::from_json(&edited);
+        assert!(
+            matches!(decoded, Err(PersistError::Malformed(_))),
+            "{label}: expected Malformed, got {:?}",
+            decoded.map(|_| "a decoded snapshot")
+        );
+    }
+
+    // A detector forest over three classes, consistent in itself, still
+    // cannot map every vote to a usage context.
+    let mut value = golden.clone();
+    let forest = forest(&mut value);
+    *field_mut(forest, "num_classes") = Value::Int(3);
+    for tree in items_mut(field_mut(forest, "trees")) {
+        *field_mut(tree, "num_classes") = Value::Int(3);
+        for node in items_mut(field_mut(tree, "nodes")) {
+            if let Some(leaf) = node_body(node, "Leaf") {
+                items_mut(field_mut(leaf, "counts")).push(Value::Int(0));
+            }
+        }
+    }
+    let edited = serde_json::to_string(&value).expect("re-encodes");
+    assert!(
+        matches!(
+            PipelineSnapshot::from_json(&edited),
+            Err(PersistError::Malformed(msg)) if msg.contains("contexts")
+        ),
+        "three-class detector forest"
+    );
 }
 
 #[test]
