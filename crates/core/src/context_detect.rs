@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +21,9 @@ use crate::CoreError;
 /// [`crate::experiment::context_detection_experiment`]).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ContextDetector {
-    forest: RandomForestModel,
+    /// Shared by every clone: a fleet hands one trained detector to each
+    /// of its pipelines, and the forest never changes after training.
+    forest: Arc<RandomForestModel>,
     extractor: FeatureExtractor,
 }
 
@@ -40,7 +44,7 @@ impl serde::Deserialize for ContextDetector {
             )));
         }
         Ok(ContextDetector {
-            forest,
+            forest: Arc::new(forest),
             extractor: required(extractor, "ContextDetector", "extractor")?,
         })
     }
@@ -97,7 +101,10 @@ impl ContextDetector {
         let forest = RandomForest::new(cfg.num_trees)
             .with_max_depth(cfg.max_depth)
             .fit(&x, &y, UsageContext::ALL.len(), rng)?;
-        Ok(ContextDetector { forest, extractor })
+        Ok(ContextDetector {
+            forest: Arc::new(forest),
+            extractor,
+        })
     }
 
     /// Detects the context of a window (extracts phone features internally).

@@ -950,10 +950,13 @@ impl FleetEngine {
         let scanned = self.resident.len();
         // One extraction scratch per tick thread, shared across every
         // pipeline that thread scores: the FFT plan tables and transform
-        // buffers (~40 KB) stay cache-hot across users instead of being
-        // reloaded cold from each pipeline's own scratch. A scratch holds
-        // no model state, so outcomes are bit-identical to the
-        // per-pipeline path (`tests/batch_parity.rs`).
+        // buffers stay cache-hot across users instead of being reloaded
+        // cold from each pipeline's own scratch. `parallel_map_mut` spawns
+        // scoped workers on every call, so on a worker the scratch and its
+        // plan live for one tick; only a sequential tick keeps its
+        // thread's scratch across ticks. A scratch holds no model state,
+        // so outcomes are bit-identical to the per-pipeline path
+        // (`tests/batch_parity.rs`).
         thread_local! {
             static TICK_SCRATCH: std::cell::RefCell<crate::FeatureScratch> =
                 std::cell::RefCell::new(crate::FeatureScratch::default());

@@ -1742,6 +1742,33 @@ mod tests {
     }
 
     #[test]
+    fn legacy_json_nested_past_the_parser_limit_is_malformed() {
+        // The JSON form of the case above: an unknown key whose value nests
+        // 100,000 levels deep. The parser stops at its depth limit with a
+        // typed error instead of recursing once per level.
+        use serde::{Serialize, Value};
+
+        let mut tree = minimal_snapshot().to_value();
+        match &mut tree {
+            Value::Object(entries) => entries.push(("deep".into(), Value::Null)),
+            other => panic!("expected an object, found {}", other.kind()),
+        }
+        let json = serde_json::to_string(&tree).unwrap();
+        let nested = format!("\"deep\":{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let json = json.replacen("\"deep\":null", &nested, 1);
+        assert!(json.len() > 200_000, "the placeholder was replaced");
+        for result in [
+            PipelineSnapshot::from_json(&json),
+            PipelineSnapshot::from_bytes(json.as_bytes()),
+        ] {
+            assert!(matches!(
+                result,
+                Err(PersistError::Malformed(msg)) if msg.contains("nesting")
+            ));
+        }
+    }
+
+    #[test]
     fn binary_truncation_at_every_offset_is_malformed() {
         let bytes = minimal_snapshot().to_bytes();
         for cut in 0..bytes.len() {

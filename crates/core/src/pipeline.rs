@@ -628,7 +628,7 @@ impl SmarterYou {
     /// scratch instead of the pipeline's own. A fleet engine ticking
     /// thousands of pipelines passes one shared scratch so the FFT plan
     /// tables and transform buffers stay cache-hot across users, instead of
-    /// touching a cold ~40 KB working set per pipeline. A scratch holds
+    /// touching a cold working set per pipeline. A scratch holds
     /// only plans and buffers, never model state, so outcomes are
     /// bit-identical whichever scratch is passed.
     ///

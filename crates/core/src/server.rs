@@ -266,7 +266,7 @@ impl TrainingServer {
         Ok(NegativeEpoch {
             pool_version: self.pool_version,
             pool_fingerprint: self.pool_fingerprint,
-            rows,
+            rows: Arc::new(rows),
         })
     }
 
@@ -482,8 +482,10 @@ pub struct NegativeEpoch {
     /// fingerprint ties staleness to the actual pool contents.
     pool_fingerprint: u64,
     /// Sampled negative rows per [`UsageContext::index`]; unified mode
-    /// keeps its single pooled draw in slot 0.
-    rows: [Vec<Vec<f64>>; 2],
+    /// keeps its single pooled draw in slot 0. Shared, not copied, by the
+    /// pipelines that adopt the epoch (one enrollment batch pins one
+    /// epoch for all its users); the wire form is the rows themselves.
+    rows: Arc<[Vec<Vec<f64>>; 2]>,
 }
 
 impl NegativeEpoch {

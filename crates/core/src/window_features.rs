@@ -27,7 +27,7 @@
 //! this module's tests and the core crate's extraction parity suite, and
 //! relied on by the batch-parity suite.
 
-use smarteryou_dsp::{spectral_peaks, BatchSpectrumScratch, SpectrumPlan, SpectrumScratch};
+use smarteryou_dsp::{spectral_peaks, SpectrumPlan, SpectrumScratch};
 use smarteryou_sensors::{DualDeviceWindow, SensorKind, SensorWindow};
 use smarteryou_stats as stats;
 
@@ -44,6 +44,7 @@ use crate::features::{DeviceSet, FeatureExtractor};
 #[derive(Debug, Clone, Default)]
 pub struct FeatureScratch {
     plan: Option<SpectrumPlan>,
+    /// Workspace of both spectrum layouts.
     spectrum_scratch: SpectrumScratch,
     magnitude: Vec<f64>,
     spectrum: Vec<f64>,
@@ -52,7 +53,6 @@ pub struct FeatureScratch {
     batch_magnitude: [Vec<f64>; 4],
     /// The four corresponding one-sided magnitude spectra.
     batch_spectrum: [Vec<f64>; 4],
-    batch_scratch: BatchSpectrumScratch,
 }
 
 impl FeatureScratch {
@@ -217,7 +217,7 @@ impl FeatureExtractor {
             plan,
             batch_magnitude,
             batch_spectrum,
-            batch_scratch,
+            spectrum_scratch,
             ..
         } = scratch;
         let plan = plan.as_ref().expect("prepared above");
@@ -225,7 +225,7 @@ impl FeatureExtractor {
         let [s0, s1, s2, s3] = batch_spectrum;
         plan.magnitude_batch4_into(
             [m0.as_slice(), m1.as_slice(), m2.as_slice(), m3.as_slice()],
-            batch_scratch,
+            spectrum_scratch,
             [s0, s1, s2, s3],
         );
         let set = self.feature_set();
@@ -302,8 +302,8 @@ mod tests {
 
     #[test]
     fn cached_extraction_is_bit_identical_to_naive() {
-        // The paper's deployed 300-sample window (Bluestein path) and a
-        // power-of-two-friendly shorter one.
+        // The paper's deployed 300-sample window (packed 150 = 5·5·3·2
+        // mixed-radix transform) and a power-of-two shorter one.
         for spec in [
             WindowSpec::from_seconds(6.0, 50.0),
             WindowSpec::from_seconds(2.56, 50.0),

@@ -72,8 +72,8 @@ proptest! {
         let extractor = FeatureExtractor::paper_default(50.0);
         let mut scratch = FeatureScratch::default();
         // 6.0 s is the paper's deployed window (300 samples, even length →
-        // packed real path over a Bluestein transform); 2.56 s lands on 128
-        // samples (pure radix-2).
+        // packed real path over a 150-point mixed-radix transform); 2.56 s
+        // lands on 128 samples (a power of two).
         for secs in [6.0, 2.56] {
             for w in windows(seed, 4, secs) {
                 for devices in DeviceSet::ALL {

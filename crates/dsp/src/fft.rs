@@ -8,9 +8,10 @@ use crate::Complex;
 ///
 /// The direct O(n²) transform is a *reference* implementation: every
 /// production path runs a planned O(n log n) transform ([`FftPlan`] handles
-/// arbitrary lengths via Bluestein), so outside of tests this counter must
-/// stay at zero. The fleet benchmark asserts exactly that, guarding against
-/// a future change quietly reintroducing the quadratic fallback.
+/// every length, mixed-radix or Bluestein), so outside of tests this
+/// counter must stay at zero. The fleet benchmark asserts exactly that,
+/// guarding against a future change quietly reintroducing the quadratic
+/// fallback.
 static DFT_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of times the O(n²) [`dft`] reference has run in this process.
@@ -42,8 +43,9 @@ pub fn dft(input: &[Complex]) -> Vec<Complex> {
 
 /// Forward Fourier transform of any length in O(n log n).
 ///
-/// Plans the transform on the fly ([`FftPlan`]): radix-2 Cooley–Tukey for
-/// power-of-two lengths, Bluestein's chirp-z algorithm otherwise. Hot paths
+/// Plans the transform on the fly ([`FftPlan`]): mixed-radix Cooley–Tukey
+/// for lengths whose prime factors are all 2, 3 or 5, Bluestein's chirp-z
+/// algorithm for lengths with a larger prime factor. Hot paths
 /// that transform many same-length buffers should hold an [`FftPlan`] (or a
 /// [`SpectrumPlan`](crate::SpectrumPlan)) instead of calling this.
 pub fn fft(input: &[Complex]) -> Vec<Complex> {
@@ -113,8 +115,9 @@ mod tests {
 
     #[test]
     fn non_power_of_two_matches_dft() {
-        // 300 samples (the paper's deployed window) runs Bluestein, not the
-        // quadratic fallback — and agrees with the direct reference.
+        // 300 samples (the paper's deployed window, 2²·3·5²) runs the
+        // mixed-radix kernel, not the quadratic fallback — and agrees with
+        // the direct reference.
         let x = real_signal(300, |i| (i as f64 * 0.21).sin());
         assert_close(&fft(&x), &dft(&x), 1e-7);
     }

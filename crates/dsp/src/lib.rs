@@ -4,10 +4,11 @@
 //! peaks, §V-C) from 50 Hz accelerometer and gyroscope streams via the
 //! discrete Fourier transform. This crate implements the required DSP from
 //! scratch: complex numbers, planned O(n log n) FFTs for *arbitrary*
-//! lengths (radix-2 Cooley–Tukey plus a Bluestein chirp-z path — the
-//! paper's 6 s × 50 Hz = 300-sample window is not a power of two), a
-//! real-input half-complex fast path, window functions, spectral-peak
-//! extraction, the 3-axis magnitude reduction, and simple
+//! lengths (mixed-radix Cooley–Tukey for lengths whose prime factors are
+//! all 2, 3 or 5 — the paper's 6 s × 50 Hz = 300-sample window is not a
+//! power of two, but 300 = 2²·3·5² — and a Bluestein chirp-z path for every
+//! other length), a real-input half-complex fast path, window functions,
+//! spectral-peak extraction, the 3-axis magnitude reduction, and simple
 //! filters/segmenters used by the sensor simulator.
 //!
 //! Throughput-critical callers precompute an [`FftPlan`] / [`SpectrumPlan`]

@@ -1,9 +1,10 @@
 //! Parity proptests pinning the batched (4-lane SoA) spectrum layout to the
 //! single-stream one, and the magnitude series to `axis_magnitude`. Both
-//! spectrum layouts run the same operations in the same order per lane,
-//! down to the final `sqrt(re² + im²) · (2/n)`, so every batched lane must
-//! be `to_bits`-equal to `SpectrumPlan::magnitude_into`, and the magnitude
-//! series, a per-sample map of `axis_magnitude`, bit-equal to it.
+//! spectrum layouts run the same lane-generic transform kernel (its 4-lane
+//! and 1-lane instances) and the same operations in the same order per
+//! lane, down to the final `sqrt(re² + im²) · (2/n)`, so every batched lane
+//! must be `to_bits`-equal to `SpectrumPlan::magnitude_into`, and the
+//! magnitude series, a per-sample map of `axis_magnitude`, bit-equal to it.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -11,10 +12,10 @@ use smarteryou_dsp::{
     axis_magnitude, magnitude_series_into, BatchSpectrumScratch, SpectrumPlan, SpectrumScratch,
 };
 
-/// Four distinct same-length signals plus the length, drawn so radix-2
-/// (powers of two), Bluestein (odd / prime) and the packed-real even path
-/// all appear; the deployed 300-sample window is pinned in the fixed case
-/// below.
+/// Four distinct same-length signals plus the length, drawn so mixed-radix
+/// (only 2, 3 and 5 divide), Bluestein (a larger prime factor), the odd
+/// direct path and the packed-real even path all appear; the deployed
+/// 300-sample window is pinned in the fixed case below.
 fn four_lanes() -> impl Strategy<Value = (usize, Vec<f64>)> {
     (1usize..=320, prop::collection::vec(-50.0..50.0f64, 4 * 320)).prop_map(|(n, pool)| (n, pool))
 }
@@ -89,11 +90,13 @@ proptest! {
 }
 
 /// The deployed window lengths, pinned: 300 samples (6.0 s at 50 Hz, even →
-/// packed real path over a Bluestein inner transform) and 128 (pure
-/// radix-2), plus lengths straddling the 4-lane interleave boundaries.
+/// packed real path over a mixed-radix 150 = 5·5·3·2 transform), 100 (2 s;
+/// packed 50 = 5·5·2), 360 (packed 180 = 5·4·3·3) and 128 (packed 64 =
+/// 4·4·4), Bluestein inner transforms at 299 (13·23, direct) and 302 (packed
+/// 151, prime), plus lengths straddling the 4-lane interleave boundaries.
 #[test]
 fn batched_spectrum_covers_deployed_lengths() {
-    for n in [1usize, 2, 3, 4, 5, 127, 128, 150, 299, 300] {
+    for n in [1usize, 2, 3, 4, 5, 100, 127, 128, 150, 299, 300, 302, 360] {
         let pool: Vec<f64> = (0..4 * n)
             .map(|i| (i as f64 * 0.37).sin() * 12.0 + (i % 7) as f64)
             .collect();

@@ -13,8 +13,8 @@ fn real_buf(len: usize) -> impl Strategy<Value = Vec<Complex>> {
 
 /// A random length in `2..=512` together with a signal of that length.
 /// Always includes the paper's deployed 300-sample window via the explicit
-/// case below; here lengths are drawn uniformly, covering radix-2 and
-/// Bluestein strategies alike.
+/// case below; here lengths are drawn uniformly, covering the mixed-radix
+/// and Bluestein strategies alike.
 fn sized_buf() -> impl Strategy<Value = Vec<Complex>> {
     (2usize..=512, prop::collection::vec(-100.0..100.0f64, 512)).prop_map(|(len, v)| {
         v.into_iter()
@@ -71,10 +71,10 @@ proptest! {
 
     #[test]
     fn planned_fft_matches_dft_at_any_length(x in sized_buf()) {
-        // Bluestein (and radix-2, when the drawn length happens to be a
-        // power of two) must agree with the O(n²) reference at every
-        // length — the property that lets the planned path replace the
-        // quadratic fallback wholesale.
+        // Mixed-radix (lengths whose prime factors are all 2, 3 or 5) and
+        // Bluestein (every other length) must agree with the O(n²)
+        // reference at every length — the property that lets the planned
+        // path replace the quadratic fallback wholesale.
         let mut buf = x.clone();
         FftPlan::new(x.len()).process(&mut buf, &mut FftScratch::default());
         let reference = dft(&x);

@@ -61,9 +61,10 @@ fn process_batch_matches_sequential_processing() {
 
 #[test]
 fn process_batch_matches_sequential_at_paper_window() {
-    // The deployed 6 s × 50 Hz = 300-sample window is the length that runs
-    // the Bluestein real-FFT path; batch and sequential scoring must stay
-    // bit-identical through the planned spectral kernels too.
+    // The deployed 6 s × 50 Hz = 300-sample window is not a power of two
+    // (its real FFT runs a packed 150-point mixed-radix transform); batch
+    // and sequential scoring must stay bit-identical through the planned
+    // spectral kernels too.
     let world = build_world_with_window(1, 6.0);
     let user = &world.users[0];
     let windows = world.window_stream(user, 4_100, 16);

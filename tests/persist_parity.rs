@@ -157,7 +157,7 @@ fn evicting_engine_matches_eviction_disabled_engine() {
 #[test]
 fn eviction_parity_holds_at_the_paper_window() {
     // The deployed 6 s × 50 Hz = 300-sample window: parity must survive the
-    // Bluestein real-FFT plan being dropped and rebuilt on rehydration.
+    // real-FFT plan being dropped and rebuilt on rehydration.
     let world = build_world(2, 6.0);
     run_parity(&world, 1, 12, 5);
 }
