@@ -29,9 +29,9 @@
 //! [`FleetEngine::with_eviction`] the engine bounds residency: after every
 //! tick, if more than `capacity` pipelines are in memory, the **least
 //! recently submitted** ones (ticks-since-last-submit LRU) are snapshotted
-//! into a pluggable [`SnapshotStore`](crate::persist::SnapshotStore) and
-//! dropped. A later [`FleetEngine::submit`] for an evicted user rehydrates
-//! the pipeline lazily from its snapshot before queueing the window.
+//! into a pluggable [`SnapshotStore`] and dropped. A later
+//! [`FleetEngine::submit`] for an evicted user rehydrates the pipeline
+//! lazily from its snapshot before queueing the window.
 //!
 //! The engine is **two-tier** so that parked users cost nothing per tick:
 //! live pipelines sit in a dense resident array that scoring and the

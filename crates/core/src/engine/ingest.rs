@@ -17,9 +17,8 @@
 //!   silently dropped.
 //! * [`IngestRouter`] — the cloneable, thread-safe front door of a
 //!   [`ShardedFleet`](crate::engine::ShardedFleet): routes each
-//!   `(UserId, DualDeviceWindow)` through the fleet's pure
-//!   [`ShardRouter`](crate::engine::ShardRouter) and pushes it onto the
-//!   home shard's queue.
+//!   `(UserId, DualDeviceWindow)` through the fleet's pure [`ShardRouter`]
+//!   and pushes it onto the home shard's queue.
 //!
 //! ```text
 //!   producer threads                         shard tick loop

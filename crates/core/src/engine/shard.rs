@@ -3,9 +3,8 @@
 //! The paper's pipeline is strictly per-user, which makes the fleet
 //! embarrassingly shardable: a [`ShardRouter`] hashes each [`UserId`] to a
 //! home shard, a [`ShardedFleet`] runs N independent [`FleetEngine`]s over
-//! **one shared** [`SnapshotStore`] (through
-//! [`SharedSnapshotStore`](crate::persist::SharedSnapshotStore)), and the
-//! versioned pipeline snapshot doubles as the inter-shard wire format —
+//! **one shared** [`SnapshotStore`] (through [`SharedSnapshotStore`]), and
+//! the versioned pipeline snapshot doubles as the inter-shard wire format —
 //! moving a user is an evict on the source shard and a lazy rehydration on
 //! the target, no extra serialization layer.
 //!

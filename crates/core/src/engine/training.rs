@@ -40,12 +40,12 @@
 //!
 //! # Cancellation
 //!
-//! Every job carries a [`CancelToken`](crate::parallel::CancelToken).
-//! Cancellation and result delivery race through one atomic
-//! compare-and-swap: a worker *commits* the token immediately before
-//! pushing its result, so a job whose cancel won can never deliver — the
-//! invariant eviction and migration rely on to abandon in-flight retrains
-//! without ever applying a stale model (see `docs/training.md`).
+//! Every job carries a [`CancelToken`]. Cancellation and result delivery
+//! race through one atomic compare-and-swap: a worker *commits* the token
+//! immediately before pushing its result, so a job whose cancel won can
+//! never deliver — the invariant eviction and migration rely on to abandon
+//! in-flight retrains without ever applying a stale model (see
+//! `docs/training.md`).
 //!
 //! [`FleetEngine::tick`]: crate::engine::FleetEngine::tick
 //! [`TrainingHandle`]: crate::server::TrainingHandle

@@ -168,94 +168,6 @@ impl CancelToken {
     }
 }
 
-/// A join handle whose job can be abandoned: [`CancelableJoinHandle::join`]
-/// returns `None` iff the job was canceled before it committed, and
-/// dropping the handle cancels the job (best-effort — a job that already
-/// committed keeps its side effects, but its result is discarded either
-/// way).
-///
-/// Built from [`spawn_cancelable`] / [`spawn_cancelable_with_token`].
-#[derive(Debug)]
-pub struct CancelableJoinHandle<T> {
-    token: CancelToken,
-    handle: Option<std::thread::JoinHandle<Option<T>>>,
-}
-
-impl<T> CancelableJoinHandle<T> {
-    /// A clone of the job's token, e.g. to cancel from another owner.
-    #[must_use]
-    pub fn token(&self) -> CancelToken {
-        self.token.clone()
-    }
-
-    /// Requests cancellation; see [`CancelToken::cancel`].
-    pub fn cancel(&self) -> bool {
-        self.token.cancel()
-    }
-
-    /// Whether cancellation won the race.
-    pub fn is_canceled(&self) -> bool {
-        self.token.is_canceled()
-    }
-
-    /// Waits for the worker and returns its result, or `None` if the job
-    /// was canceled before it committed.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from the worker closure.
-    pub fn join(mut self) -> Option<T> {
-        let handle = self.handle.take().expect("join handle present until join");
-        handle.join().expect("cancelable worker panicked")
-    }
-}
-
-impl<T> Drop for CancelableJoinHandle<T> {
-    fn drop(&mut self) {
-        // Cancel-on-drop: an abandoned handle must not leave a job racing
-        // to deliver into nowhere. The thread itself is detached — it
-        // observes the canceled token, skips delivery, and exits.
-        self.token.cancel();
-    }
-}
-
-/// Spawns `f` on its own thread under a fresh [`CancelToken`]. The closure
-/// receives the token so it can poll [`CancelToken::is_canceled`] at its own
-/// granularity; its return value is delivered only if the job commits.
-pub fn spawn_cancelable<T, F>(f: F) -> CancelableJoinHandle<T>
-where
-    T: Send + 'static,
-    F: FnOnce(&CancelToken) -> T + Send + 'static,
-{
-    spawn_cancelable_with_token(CancelToken::new(), f)
-}
-
-/// Like [`spawn_cancelable`], but under a caller-supplied token — cancel the
-/// token *before* calling this and `f` never runs at all (cancel-before-
-/// start).
-pub fn spawn_cancelable_with_token<T, F>(token: CancelToken, f: F) -> CancelableJoinHandle<T>
-where
-    T: Send + 'static,
-    F: FnOnce(&CancelToken) -> T + Send + 'static,
-{
-    let worker_token = token.clone();
-    let handle = std::thread::spawn(move || {
-        if worker_token.is_canceled() {
-            return None;
-        }
-        let result = f(&worker_token);
-        if worker_token.try_commit() {
-            Some(result)
-        } else {
-            None
-        }
-    });
-    CancelableJoinHandle {
-        token,
-        handle: Some(handle),
-    }
-}
-
 thread_local! {
     /// The nested-map thread budget for the current thread: `None` at top
     /// level (use the machine's parallelism), `Some(n)` inside a map
@@ -321,131 +233,80 @@ mod tests {
     }
 
     #[test]
-    fn cancel_before_start_never_runs_the_job() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-
-        let token = CancelToken::new();
-        assert!(token.cancel(), "first cancel wins");
-        assert!(!token.cancel(), "second cancel is a no-op");
-        let ran = Arc::new(AtomicBool::new(false));
-        let witness = ran.clone();
-        let handle = spawn_cancelable_with_token(token, move |_| {
-            witness.store(true, Ordering::SeqCst);
-            42
-        });
-        assert_eq!(handle.join(), None);
-        assert!(!ran.load(Ordering::SeqCst), "canceled job must never run");
-    }
-
-    #[test]
-    fn cancel_mid_run_discards_the_result() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-
-        let started = Arc::new(AtomicBool::new(false));
-        let witness = started.clone();
-        let handle = spawn_cancelable(move |token| {
-            witness.store(true, Ordering::SeqCst);
-            // Park until the canceller acts, then try to deliver anyway —
-            // the commit CAS must lose.
-            while !token.is_canceled() {
-                std::thread::yield_now();
-            }
-            7
-        });
-        while !started.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        assert!(handle.cancel(), "cancel races no committer here");
-        assert!(handle.is_canceled());
-        assert_eq!(handle.join(), None, "canceled job delivered a result");
-    }
-
-    #[test]
-    fn dropping_the_handle_cancels_the_job() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-
-        let started = Arc::new(AtomicBool::new(false));
-        let finished = Arc::new(AtomicBool::new(false));
-        let (started_w, witness) = (started.clone(), finished.clone());
-        let handle = spawn_cancelable(move |token| {
-            started_w.store(true, Ordering::SeqCst);
-            while !token.is_canceled() {
-                std::thread::yield_now();
-            }
-            witness.store(true, Ordering::SeqCst);
-            1
-        });
-        // Drop only once the job runs: a handle dropped before the worker
-        // starts cancels it before `f` is ever called, and `finished` would
-        // never be set.
-        while !started.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        let token = handle.token();
-        drop(handle);
-        assert!(token.is_canceled(), "drop must cancel");
-        // The detached worker observes the cancel, exits, and never commits.
-        while !finished.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        assert!(!token.is_committed(), "dropped job committed a result");
-    }
-
-    #[test]
     fn committed_jobs_ignore_late_cancels() {
-        let handle = spawn_cancelable(|_| 5u32);
-        // Wait for the worker to commit, then cancel: the result stands.
-        while !handle.token().is_committed() {
-            std::thread::yield_now();
-        }
-        assert!(!handle.cancel(), "cancel after commit must lose");
-        assert_eq!(handle.join(), Some(5));
+        let token = CancelToken::new();
+        let (committed_tx, committed_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                committed_tx
+                    .send(token.try_commit())
+                    .expect("receiver alive")
+            });
+            // Cancel only once the worker has committed: the result stands.
+            assert!(
+                committed_rx.recv().expect("worker sends"),
+                "uncontested commit"
+            );
+            assert!(!token.cancel(), "cancel after commit must lose");
+        });
+        assert!(token.is_committed());
+        assert!(!token.is_canceled());
+        assert!(!token.try_commit(), "a token commits once");
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The core cancellation guarantee under racing interleavings: a
-        /// cancel that *wins* means the job never delivers, and a job that
-        /// delivers means every cancel *lost*. Work length and cancel
-        /// timing vary so the race lands on both sides across cases.
+        /// The core cancellation guarantee under racing interleavings:
+        /// exactly one of cancel and commit wins, so a cancel that *wins*
+        /// means the worker never delivers, and a worker that delivers
+        /// means every cancel *lost*. A barrier releases the worker and the
+        /// canceller together; work length and cancel delay vary so the
+        /// race lands on both sides across cases.
         #[test]
         fn canceled_jobs_never_deliver_results(
             (work, cancel_flag, spins) in (0..2_000u32, 0..2u32, 0..64u32)
         ) {
             let do_cancel = cancel_flag == 1;
             let token = CancelToken::new();
-            let handle = spawn_cancelable_with_token(token.clone(), move |t| {
-                for _ in 0..work {
-                    if t.is_canceled() {
-                        break;
+            let start = std::sync::Barrier::new(2);
+            let (delivered, cancel_won) = std::thread::scope(|s| {
+                let worker = s.spawn(|| {
+                    start.wait();
+                    for _ in 0..work {
+                        if token.is_canceled() {
+                            break;
+                        }
+                        std::hint::spin_loop();
                     }
-                    std::hint::spin_loop();
-                }
-                99u64
+                    // Deliver only if the commit wins.
+                    token.try_commit().then_some(99u64)
+                });
+                start.wait();
+                let cancel_won = do_cancel && {
+                    for _ in 0..spins {
+                        std::hint::spin_loop();
+                    }
+                    token.cancel()
+                };
+                (worker.join().expect("worker panicked"), cancel_won)
             });
-            let cancel_won = if do_cancel {
-                for _ in 0..spins {
-                    std::hint::spin_loop();
-                }
-                token.cancel()
-            } else {
-                false
-            };
-            let result = handle.join();
             proptest::prop_assert!(
-                !(cancel_won && result.is_some()),
+                !(cancel_won && delivered.is_some()),
                 "a winning cancel must suppress delivery"
             );
             proptest::prop_assert!(
-                result.is_some() || cancel_won,
+                delivered.is_some() || cancel_won,
                 "a job only fails to deliver when a cancel won"
             );
+            proptest::prop_assert_eq!(delivered.is_some(), token.is_committed());
+            proptest::prop_assert_eq!(cancel_won, token.is_canceled());
+            // The race decided the token for good: a later cancel or
+            // commit (a second cancel included) loses.
+            proptest::prop_assert!(!token.cancel(), "a decided token ignores cancels");
+            proptest::prop_assert!(!token.try_commit(), "a decided token ignores commits");
             if !do_cancel {
-                proptest::prop_assert_eq!(result, Some(99));
+                proptest::prop_assert_eq!(delivered, Some(99));
             }
         }
     }

@@ -296,11 +296,12 @@ impl SmarterYou {
         self.event_capacity
     }
 
-    /// Cumulative (hits, misses) of the per-context KRR fit caches the
-    /// retrain path runs through: a hit means a retrain reused the cached
-    /// Cholesky factorisation because its design matrix was unchanged
-    /// (epoch-stable negative sampling makes that possible — see
-    /// [`crate::TrainingServer::train_authenticator_epoch`]).
+    /// Cumulative (hits, misses) of the per-context KRR fit caches that
+    /// batched enrollment ([`SmarterYou::enroll_with`]) and the retrain path
+    /// ([`crate::TrainingServer::train_authenticator_epoch_shared`]) run
+    /// through: a hit means a fit avoided the full cubic factorisation by
+    /// solving off the epoch's shared negative-Gram block, a miss means it
+    /// paid one. See [`SmarterYou::fit_cache_detail`] for the split.
     pub fn fit_cache_stats(&self) -> (u64, u64) {
         self.fit_caches
             .iter()
@@ -891,8 +892,9 @@ impl SmarterYou {
     /// Unlike the per-window path ([`SmarterYou::process_window`] during
     /// [`SystemPhase::Enrollment`]), this consumes **no pipeline
     /// randomness** — the negative sample was drawn once when the
-    /// workspace was built — and its decisions agree with the sequential
-    /// path to tight epsilon rather than bit-for-bit (see the
+    /// workspace was built. The fit is the retrain closed form run cold:
+    /// the authenticator is bit-identical to a retrain over `buffers` with
+    /// no previous tail, and no tail state is kept (see the
     /// `enroll_parity` suite).
     ///
     /// # Errors
@@ -910,7 +912,11 @@ impl SmarterYou {
                 "enroll_with called on an already-enrolled pipeline".into(),
             ));
         }
-        let auth = ws.train_authenticator(&buffers, &self.cfg, &mut self.fit_caches)?;
+        // A cold retrain whose tail states are dropped: keeping them would
+        // put `retrain_tails` into the snapshot of every user who never
+        // retrained and change the first retrain's bits.
+        let auth =
+            ws.train_authenticator(&buffers, &self.cfg, &mut self.fit_caches, &mut [None, None])?;
         self.recent = buffers.clone();
         self.buffers = buffers;
         self.authenticator = Some(auth);

@@ -91,55 +91,39 @@ impl TrainingServer {
         self.pools[context.index()].len()
     }
 
-    /// Trains one model for `context` (or a unified model when `None`)
-    /// from the user's positive windows and the anonymized pool.
+    /// Trains the full [`Authenticator`] for a user according to the
+    /// configured [`ContextMode`]. `positives[c]` holds the user's windows
+    /// for context index `c`.
     ///
-    /// Sampling is balanced: `data_size/2` positives and as many negatives,
-    /// shuffled by `rng`. The feature scaler is fitted on the combined
-    /// training matrix (and shipped with the model, so the phone applies
-    /// the same normalisation at test time).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InsufficientData`] when either side has no windows;
-    /// training failures are propagated.
-    pub fn train_model(
-        &self,
-        context: Option<UsageContext>,
-        positives: &[Vec<f64>],
-        cfg: &SystemConfig,
-        rng: &mut StdRng,
-    ) -> Result<AuthModel, CoreError> {
-        self.train_model_impl(context, positives, cfg, rng, None)
-    }
-
-    /// [`TrainingServer::train_model`] with a reusable KRR fit cache: when a
-    /// refit resolves to the exact same scaled training matrix and ridge
-    /// parameter, the cached Cholesky factorisation is reused (bit-identical
-    /// models either way). The fleet engine threads one cache per context
-    /// through its retrain path.
+    /// Sampling is per fit and balanced: `data_size/2` positives and as
+    /// many pooled negatives per model, shuffled by `rng`. The feature
+    /// scaler is fitted on the combined training matrix (and shipped with
+    /// the model, so the phone applies the same normalisation at test
+    /// time).
     ///
     /// # Errors
     ///
-    /// Same as [`TrainingServer::train_model`].
-    pub fn train_model_cached(
+    /// [`CoreError::InsufficientData`] when either side of a model's
+    /// training set has no windows; training failures are propagated.
+    pub fn train_authenticator(
         &self,
-        context: Option<UsageContext>,
-        positives: &[Vec<f64>],
+        positives: &[Vec<Vec<f64>>; 2],
         cfg: &SystemConfig,
         rng: &mut StdRng,
-        cache: &mut KrrFitCache,
-    ) -> Result<AuthModel, CoreError> {
-        self.train_model_impl(context, positives, cfg, rng, Some(cache))
+    ) -> Result<Authenticator, CoreError> {
+        fit_authenticator(positives, cfg, |context, positives| {
+            self.train_model(context, positives, cfg, rng)
+        })
     }
 
-    fn train_model_impl(
+    /// One per-fit-sampled model for `context` (or a unified model over
+    /// both pools when `None`); see [`TrainingServer::train_authenticator`].
+    fn train_model(
         &self,
         context: Option<UsageContext>,
         positives: &[Vec<f64>],
         cfg: &SystemConfig,
         rng: &mut StdRng,
-        cache: Option<&mut KrrFitCache>,
     ) -> Result<AuthModel, CoreError> {
         let negatives: Vec<&Vec<f64>> = match context {
             Some(c) => self.pools[c.index()].iter().collect(),
@@ -171,60 +155,7 @@ impl TrainingServer {
             rows.push(negatives[i]);
             y.push(-1.0);
         }
-        fit_model(rows, &y, cfg, cache)
-    }
-
-    /// Trains the full [`Authenticator`] for a user according to the
-    /// configured [`ContextMode`]. `positives[c]` holds the user's windows
-    /// for context index `c`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TrainingServer::train_model`] failures.
-    pub fn train_authenticator(
-        &self,
-        positives: &[Vec<Vec<f64>>; 2],
-        cfg: &SystemConfig,
-        rng: &mut StdRng,
-    ) -> Result<Authenticator, CoreError> {
-        let mut caches: [KrrFitCache; 2] = Default::default();
-        self.train_authenticator_cached(positives, cfg, rng, &mut caches)
-    }
-
-    /// [`TrainingServer::train_authenticator`] with per-context KRR fit
-    /// caches, so a device's periodic retrains can skip refactoring when
-    /// the sampled training matrix has not changed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TrainingServer::train_model`] failures.
-    pub fn train_authenticator_cached(
-        &self,
-        positives: &[Vec<Vec<f64>>; 2],
-        cfg: &SystemConfig,
-        rng: &mut StdRng,
-        caches: &mut [KrrFitCache; 2],
-    ) -> Result<Authenticator, CoreError> {
-        match cfg.context_mode() {
-            ContextMode::Unified => {
-                let all: Vec<Vec<f64>> = positives.iter().flatten().cloned().collect();
-                let model = self.train_model_cached(None, &all, cfg, rng, &mut caches[0])?;
-                Ok(Authenticator::unified(model, cfg.accept_threshold()))
-            }
-            ContextMode::PerContext => {
-                let mut models = Vec::with_capacity(2);
-                for ctx in UsageContext::ALL {
-                    models.push(self.train_model_cached(
-                        Some(ctx),
-                        &positives[ctx.index()],
-                        cfg,
-                        rng,
-                        &mut caches[ctx.index()],
-                    )?);
-                }
-                Authenticator::per_context(models, cfg.accept_threshold())
-            }
-        }
+        fit_model(rows, &y, cfg, None)
     }
 
     /// Draws a device's frozen negative sample for the current pool
@@ -298,25 +229,10 @@ impl TrainingServer {
             *epoch = Some(self.sample_negative_epoch(cfg, rng)?);
         }
         let epoch = epoch.as_ref().expect("pinned above");
-        match cfg.context_mode() {
-            ContextMode::Unified => {
-                let all: Vec<Vec<f64>> = positives.iter().flatten().cloned().collect();
-                let model = self.train_model_frozen(&all, &epoch.rows[0], cfg, &mut caches[0])?;
-                Ok(Authenticator::unified(model, cfg.accept_threshold()))
-            }
-            ContextMode::PerContext => {
-                let mut models = Vec::with_capacity(2);
-                for ctx in UsageContext::ALL {
-                    models.push(self.train_model_frozen(
-                        &positives[ctx.index()],
-                        &epoch.rows[ctx.index()],
-                        cfg,
-                        &mut caches[ctx.index()],
-                    )?);
-                }
-                Authenticator::per_context(models, cfg.accept_threshold())
-            }
-        }
+        fit_authenticator(positives, cfg, |context, positives| {
+            let slot = context.map_or(0, |c| c.index());
+            self.train_model_frozen(positives, &epoch.rows[slot], cfg, &mut caches[slot])
+        })
     }
 
     /// [`TrainingServer::train_authenticator_epoch`] routed through the
@@ -355,7 +271,7 @@ impl TrainingServer {
         }
         let epoch = epoch.as_ref().expect("pinned above");
         let ws = ws_cache.workspace_for(epoch, cfg)?;
-        ws.train_authenticator_tail(positives, cfg, caches, tails)
+        ws.train_authenticator(positives, cfg, caches, tails)
     }
 
     /// Pins a fresh [`NegativeEpoch`] and precomputes the per-context
@@ -384,11 +300,13 @@ impl TrainingServer {
     /// pipeline should adopt it so later retrains stay epoch-stable)
     /// alongside one authenticator per entry of `users`, in order.
     ///
-    /// Decisions agree with per-user [`train_authenticator_epoch`]
-    /// (seeded with the same epoch) to tight epsilon — pinned by the
-    /// workspace-root `enroll_parity` suite.
-    ///
-    /// [`train_authenticator_epoch`]: TrainingServer::train_authenticator_epoch
+    /// Enrollment is a cold retrain: each authenticator is bit-identical
+    /// to [`TrainingServer::train_authenticator_epoch_shared`] over the
+    /// same buffers and the returned epoch with empty tails, whose tail
+    /// states it does not keep. Decisions agree with the stack-and-fit
+    /// [`TrainingServer::train_authenticator_epoch`] (seeded with the same
+    /// epoch) to tight epsilon. Both are pinned by the workspace-root
+    /// `enroll_parity` suite.
     ///
     /// # Errors
     ///
@@ -404,7 +322,7 @@ impl TrainingServer {
         let mut caches: [KrrFitCache; 2] = Default::default();
         let auths = users
             .iter()
-            .map(|positives| ws.train_authenticator(positives, cfg, &mut caches))
+            .map(|positives| ws.train_authenticator(positives, cfg, &mut caches, &mut [None, None]))
             .collect::<Result<Vec<_>, _>>()?;
         Ok((ws.epoch, auths))
     }
@@ -467,6 +385,34 @@ fn fit_model(
     Ok(AuthModel::new(scaler, krr))
 }
 
+/// Assembles an [`Authenticator`] under `cfg`'s [`ContextMode`]: one
+/// `fit(Some(context), positives)` per context, or one `fit(None, ..)` over
+/// both contexts' positives pooled, which trains in context slot 0. Every
+/// training path shares this shape, so the two modes cannot diverge
+/// between them.
+fn fit_authenticator(
+    positives: &[Vec<Vec<f64>>; 2],
+    cfg: &SystemConfig,
+    mut fit: impl FnMut(Option<UsageContext>, &[Vec<f64>]) -> Result<AuthModel, CoreError>,
+) -> Result<Authenticator, CoreError> {
+    match cfg.context_mode() {
+        ContextMode::Unified => {
+            let all: Vec<Vec<f64>> = positives.iter().flatten().cloned().collect();
+            Ok(Authenticator::unified(
+                fit(None, &all)?,
+                cfg.accept_threshold(),
+            ))
+        }
+        ContextMode::PerContext => {
+            let mut models = Vec::with_capacity(2);
+            for ctx in UsageContext::ALL {
+                models.push(fit(Some(ctx), &positives[ctx.index()])?);
+            }
+            Authenticator::per_context(models, cfg.accept_threshold())
+        }
+    }
+}
+
 /// A device's frozen negative sample: the pooled vectors it trains against
 /// until the anonymized pool changes. Rides along in the pipeline snapshot
 /// so an evicted-and-rehydrated device retrains bit-identically to one
@@ -501,9 +447,10 @@ impl NegativeEpoch {
 }
 
 /// A pinned [`NegativeEpoch`] bundled with the precomputed shared-Gram
-/// blocks every enrollment fit against it reuses ([`KrrSharedWorkspace`]
-/// per context slot). Built once per enrollment batch by
-/// [`TrainingServer::enrollment_workspace`]; immutable thereafter, so one
+/// blocks every fit against it reuses ([`KrrSharedWorkspace`] per context
+/// slot). Built once per enrollment batch by
+/// [`TrainingServer::enrollment_workspace`], and once per epoch for
+/// retrains by [`RetrainWorkspaceCache`]; immutable thereafter, so one
 /// workspace can serve any number of users.
 #[derive(Debug, Clone)]
 pub struct EnrollmentWorkspace {
@@ -545,12 +492,17 @@ impl EnrollmentWorkspace {
         &self.epoch
     }
 
-    /// Fits one user's [`Authenticator`] against the shared blocks,
-    /// mirroring [`TrainingServer::train_authenticator_epoch`]'s frozen
-    /// path: tail-`data_size/2` positives per model, scaler fitted over
-    /// the stacked rows (via the closed-form moments), no randomness
-    /// consumed. `caches` records a shared-block hit or fallback miss per
-    /// fit.
+    /// Fits one user's [`Authenticator`] against the shared blocks through
+    /// [`KernelRidge::fit_scaled_shared_tail`], the one closed form behind
+    /// enrollment and retrains: tail-`data_size/2` positives per model
+    /// over the epoch's negatives, scaler from the stacked rows'
+    /// closed-form moments, no randomness consumed. `caches` records a
+    /// shared-block hit or fallback miss per fit. `tails` holds each
+    /// context slot's positive-tail factor from the previous fit:
+    /// enrollment passes `[None, None]` and drops what comes back (a cold
+    /// retrain), and a retrain passes the pipeline's own tails, so a tail
+    /// that shifted by only a few buffer windows slides the previous
+    /// Cholesky factor instead of refactoring.
     ///
     /// # Errors
     ///
@@ -562,73 +514,18 @@ impl EnrollmentWorkspace {
         positives: &[Vec<Vec<f64>>; 2],
         cfg: &SystemConfig,
         caches: &mut [KrrFitCache; 2],
-    ) -> Result<Authenticator, CoreError> {
-        match cfg.context_mode() {
-            ContextMode::Unified => {
-                let all: Vec<Vec<f64>> = positives.iter().flatten().cloned().collect();
-                let model = self.train_model_shared(&all, 0, cfg, &mut caches[0])?;
-                Ok(Authenticator::unified(model, cfg.accept_threshold()))
-            }
-            ContextMode::PerContext => {
-                let mut models = Vec::with_capacity(2);
-                for ctx in UsageContext::ALL {
-                    models.push(self.train_model_shared(
-                        &positives[ctx.index()],
-                        ctx.index(),
-                        cfg,
-                        &mut caches[ctx.index()],
-                    )?);
-                }
-                Authenticator::per_context(models, cfg.accept_threshold())
-            }
-        }
-    }
-
-    /// Retrain variant of [`EnrollmentWorkspace::train_authenticator`]:
-    /// every model fit additionally threads the per-slot
-    /// [`KrrTailState`] through
-    /// [`KernelRidge::fit_scaled_shared_tail`], so a retrain whose
-    /// positive tail shifted by only a few buffer windows slides the
-    /// previous Cholesky factor instead of refactoring.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EnrollmentWorkspace::train_authenticator`].
-    pub fn train_authenticator_tail(
-        &self,
-        positives: &[Vec<Vec<f64>>; 2],
-        cfg: &SystemConfig,
-        caches: &mut [KrrFitCache; 2],
         tails: &mut [Option<KrrTailState>; 2],
     ) -> Result<Authenticator, CoreError> {
-        match cfg.context_mode() {
-            ContextMode::Unified => {
-                let all: Vec<Vec<f64>> = positives.iter().flatten().cloned().collect();
-                let model =
-                    self.train_model_shared_tail(&all, 0, cfg, &mut caches[0], &mut tails[0])?;
-                Ok(Authenticator::unified(model, cfg.accept_threshold()))
-            }
-            ContextMode::PerContext => {
-                let mut models = Vec::with_capacity(2);
-                for ctx in UsageContext::ALL {
-                    models.push(self.train_model_shared_tail(
-                        &positives[ctx.index()],
-                        ctx.index(),
-                        cfg,
-                        &mut caches[ctx.index()],
-                        &mut tails[ctx.index()],
-                    )?);
-                }
-                Authenticator::per_context(models, cfg.accept_threshold())
-            }
-        }
+        fit_authenticator(positives, cfg, |context, positives| {
+            let slot = context.map_or(0, |c| c.index());
+            self.train_model_shared(positives, slot, cfg, &mut caches[slot], &mut tails[slot])
+        })
     }
 
-    /// One tail-sliding shared-block fit: same design matrix as
-    /// [`EnrollmentWorkspace::train_model_shared`], solved through
-    /// [`KernelRidge::fit_scaled_shared_tail`] so consecutive retrains
-    /// with overlapping positive tails reuse the previous factorisation.
-    fn train_model_shared_tail(
+    /// One shared-block model fit: the same design matrix as
+    /// `train_model_frozen` (tail positives over the epoch's negatives),
+    /// solved through [`KernelRidge::fit_scaled_shared_tail`].
+    fn train_model_shared(
         &self,
         positives: &[Vec<f64>],
         slot: usize,
@@ -651,34 +548,6 @@ impl EnrollmentWorkspace {
         let pos = Matrix::from_rows(&rows)
             .map_err(|e| CoreError::InsufficientData(format!("ragged features: {e}")))?;
         let (scaler, krr) = self.trainer.fit_scaled_shared_tail(cache, ws, &pos, tail)?;
-        Ok(AuthModel::new(scaler, krr))
-    }
-
-    /// One shared-block model fit: the same design matrix as
-    /// `train_model_frozen` (tail positives over the epoch's negatives),
-    /// solved through [`KernelRidge::fit_scaled_shared_cached`].
-    fn train_model_shared(
-        &self,
-        positives: &[Vec<f64>],
-        slot: usize,
-        cfg: &SystemConfig,
-        cache: &mut KrrFitCache,
-    ) -> Result<AuthModel, CoreError> {
-        let ws = self.workspaces[slot].as_ref().ok_or_else(|| {
-            CoreError::InsufficientData(format!("no frozen negatives for context slot {slot}"))
-        })?;
-        if positives.is_empty() {
-            return Err(CoreError::InsufficientData(format!(
-                "positives=0, frozen negatives={}",
-                ws.num_negatives()
-            )));
-        }
-        let per_class = cfg.data_size() / 2;
-        let tail = positives.len().saturating_sub(per_class);
-        let rows: Vec<&[f64]> = positives[tail..].iter().map(Vec::as_slice).collect();
-        let pos = Matrix::from_rows(&rows)
-            .map_err(|e| CoreError::InsufficientData(format!("ragged features: {e}")))?;
-        let (scaler, krr) = self.trainer.fit_scaled_shared_cached(cache, ws, &pos)?;
         Ok(AuthModel::new(scaler, krr))
     }
 }
@@ -1121,7 +990,7 @@ mod tests {
         let mut caches: [KrrFitCache; 2] = Default::default();
         let positives = [pos.clone(), pos];
         let auth = ws
-            .train_authenticator(&positives, &cfg, &mut caches)
+            .train_authenticator(&positives, &cfg, &mut caches, &mut [None, None])
             .unwrap();
         assert_eq!(auth.mode(), ContextMode::Unified);
         assert!(

@@ -339,8 +339,8 @@ impl Cholesky {
         for k in 0..n {
             if w[k] == 0.0 {
                 // c=1, s=0 — an exact no-op for this pivot; skipping keeps
-                // rows untouched by the update bit-identical (remove_row
-                // relies on this for its leading block).
+                // rows untouched by the update bit-identical (the sparse
+                // ridge-diagonal ops of a tail slide rely on this).
                 continue;
             }
             let lkk = self.l[(k, k)];
@@ -402,107 +402,6 @@ impl Cholesky {
             }
         }
         self.l = l;
-        Ok(())
-    }
-
-    /// **Bordering** extension: grows the factor of the n×n matrix `A`
-    /// into the factor of the (n+1)×(n+1) matrix `[[A, b], [bᵀ, c]]` in
-    /// O(n²) — one forward solve (`L l₂₁ = b`) plus a scalar pivot
-    /// `l₂₂ = √(c − ‖l₂₁‖²)`. This is how a shared negative-block factor
-    /// is extended with one positive sample per enrolling user without
-    /// refactoring the shared block.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`;
-    /// [`LinalgError::NotPositiveDefinite`] when the bordered matrix is
-    /// not SPD to working precision (`c − ‖l₂₁‖²` not safely positive).
-    /// The factor is unchanged on error.
-    pub fn append_row(&mut self, b: &[f64], c: f64) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky append_row",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        // Forward solve L l21 = b.
-        let mut l21 = b.to_vec();
-        for i in 0..n {
-            let mut sum = l21[i];
-            for (j, &lj) in l21.iter().enumerate().take(i) {
-                sum -= self.l[(i, j)] * lj;
-            }
-            l21[i] = sum / self.l[(i, i)];
-        }
-        let d = c - l21.iter().map(|x| x * x).sum::<f64>();
-        if d <= f64::EPSILON * c.abs().max(1.0) {
-            return Err(LinalgError::NotPositiveDefinite);
-        }
-        let mut grown = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            for j in 0..=i {
-                grown[(i, j)] = self.l[(i, j)];
-            }
-        }
-        for (j, &v) in l21.iter().enumerate() {
-            grown[(n, j)] = v;
-        }
-        grown[(n, n)] = d.sqrt();
-        self.l = grown;
-        Ok(())
-    }
-
-    /// Removes row/column `k` from the factored matrix in O(n²): rows
-    /// above `k` are kept, and the trailing block absorbs the deleted
-    /// column's mass through a rank-1 [update](Cholesky::update) with the
-    /// sub-diagonal segment `l₃₂` (`L₃₃' L₃₃'ᵀ = L₃₃ L₃₃ᵀ + l₃₂ l₃₂ᵀ`).
-    /// Removal only ever *adds* mass to the trailing pivots, so it cannot
-    /// lose positive definiteness.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::InvalidShape`] if `k` is out of bounds or the factor
-    /// is 1×1 (nothing would remain).
-    pub fn remove_row(&mut self, k: usize) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if k >= n || n < 2 {
-            return Err(LinalgError::InvalidShape(format!(
-                "cannot remove row {k} from a {n}x{n} Cholesky factor"
-            )));
-        }
-        let mut shrunk = Matrix::zeros(n - 1, n - 1);
-        // Leading block (rows/cols before k) is untouched.
-        for i in 0..k {
-            for j in 0..=i {
-                shrunk[(i, j)] = self.l[(i, j)];
-            }
-        }
-        // Trailing rows shift up; the deleted column's sub-diagonal
-        // segment l32 is folded back in with a rank-1 update below.
-        let mut l32 = Vec::with_capacity(n - 1 - k);
-        for i in (k + 1)..n {
-            for j in 0..n {
-                if j == k {
-                    l32.push(self.l[(i, k)]);
-                    continue;
-                }
-                let jj = if j < k { j } else { j - 1 };
-                if jj < i {
-                    shrunk[(i - 1, jj)] = self.l[(i, j)];
-                }
-            }
-        }
-        let mut next = Cholesky { l: shrunk };
-        if !l32.is_empty() {
-            // Update only the trailing (n-1-k)×(n-1-k) block: pad the
-            // update vector with zeros for the untouched leading rows.
-            let mut v = vec![0.0; n - 1];
-            v[k..].copy_from_slice(&l32);
-            next.update(&v)?;
-        }
-        self.l = next.l;
         Ok(())
     }
 }

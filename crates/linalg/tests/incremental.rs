@@ -1,8 +1,7 @@
 //! Property tests for the incremental Cholesky primitives: rank-1
-//! update/downdate and bordered append/remove must agree with a full
-//! refactorisation to tight epsilon over random SPD matrices, and a
-//! downdate that would lose positive definiteness must surface a typed
-//! error (never a NaN-poisoned factor).
+//! update/downdate must agree with a full refactorisation to tight epsilon
+//! over random SPD matrices, and a downdate that would lose positive
+//! definiteness must surface a typed error (never a NaN-poisoned factor).
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -77,51 +76,6 @@ proptest! {
     }
 
     #[test]
-    fn bordered_append_matches_refactorisation(a in spd_matrix(7)) {
-        // Factor the leading 6×6 principal minor, then border on the last
-        // row/column of the full matrix.
-        let n = a.rows() - 1;
-        let mut leading = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                leading[(i, j)] = a[(i, j)];
-            }
-        }
-        let border: Vec<f64> = (0..n).map(|i| a[(n, i)]).collect();
-        let mut ch = leading.cholesky().unwrap();
-        ch.append_row(&border, a[(n, n)]).unwrap();
-        let full = a.cholesky().unwrap();
-        assert_factor_close(ch.l(), full.l(), 1e-9)?;
-    }
-
-    #[test]
-    fn remove_row_matches_refactorisation(a in spd_matrix(6), k in 0usize..6) {
-        let mut ch = a.cholesky().unwrap();
-        ch.remove_row(k).unwrap();
-        let n = a.rows();
-        let keep: Vec<usize> = (0..n).filter(|&i| i != k).collect();
-        let mut minor = Matrix::zeros(n - 1, n - 1);
-        for (ii, &i) in keep.iter().enumerate() {
-            for (jj, &j) in keep.iter().enumerate() {
-                minor[(ii, jj)] = a[(i, j)];
-            }
-        }
-        let full = minor.cholesky().unwrap();
-        assert_factor_close(ch.l(), full.l(), 1e-9)?;
-    }
-
-    #[test]
-    fn append_then_remove_roundtrips(a in spd_matrix(6), v in vec_n(6), c in 8.0..16.0f64) {
-        let mut ch = a.cholesky().unwrap();
-        let before = ch.l().clone();
-        // `c` is large enough for the bordered matrix to stay SPD (the
-        // Schur complement c − ‖L⁻¹v‖² is positive for this strategy).
-        ch.append_row(&v, c).unwrap();
-        ch.remove_row(a.rows()).unwrap();
-        assert_factor_close(ch.l(), &before, 1e-9)?;
-    }
-
-    #[test]
     fn singular_downdate_is_typed_error_not_nan(a in spd_matrix(5)) {
         // v = the factor's own first column zeroes the first pivot
         // bit-exactly (`L Lᵀ − l₀ l₀ᵀ` is rank-deficient), so the downdate
@@ -173,20 +127,5 @@ fn downdate_dimension_checked() {
     assert!(matches!(
         ch.update(&[1.0, 2.0, 3.0]),
         Err(LinalgError::DimensionMismatch { .. })
-    ));
-}
-
-#[test]
-fn remove_row_rejects_out_of_bounds_and_degenerate() {
-    let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
-    let mut ch = a.cholesky().unwrap();
-    assert!(matches!(
-        ch.remove_row(2),
-        Err(LinalgError::InvalidShape(_))
-    ));
-    ch.remove_row(0).unwrap();
-    assert!(matches!(
-        ch.remove_row(0),
-        Err(LinalgError::InvalidShape(_))
     ));
 }

@@ -75,16 +75,6 @@ impl Kernel {
         out.clear();
         out.extend((0..x.rows()).map(|i| self.eval(x.row(i), q)));
     }
-
-    /// Whether `k(a + t, b + t) = k(a, b)` for every translation `t`.
-    ///
-    /// Translation-invariant kernels commute with feature centring, which
-    /// is what lets a shared negative-block Gram (and its Cholesky factor)
-    /// be computed once on raw rows and reused across users whose centring
-    /// means differ — see `KrrSharedWorkspace`.
-    pub fn is_translation_invariant(&self) -> bool {
-        matches!(self, Kernel::Rbf { .. })
-    }
 }
 
 #[cfg(test)]

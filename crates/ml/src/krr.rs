@@ -122,20 +122,6 @@ impl KernelRidge {
         self.fit_impl(x, y, Some(cache))
     }
 
-    /// Trains one model per label vector against a shared design matrix,
-    /// factoring the ridge system once. Useful for refitting a family of
-    /// one-vs-rest models over the same pooled features.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KernelRidge::fit`], for each label vector.
-    pub fn fit_many(&self, x: &Matrix, ys: &[&[f64]]) -> Result<Vec<KrrModel>, MlError> {
-        let mut cache = KrrFitCache::new();
-        ys.iter()
-            .map(|y| self.fit_with_cache(&mut cache, x, y))
-            .collect()
-    }
-
     /// Returns the configured kernel.
     pub fn kernel(&self) -> Kernel {
         self.kernel
@@ -732,16 +718,6 @@ mod tests {
             (1, 1, 2)
         );
         assert_eq!(cache.hits(), 2);
-    }
-
-    #[test]
-    fn fit_many_shares_one_factorization() {
-        let (x, y) = toy();
-        let flipped: Vec<f64> = y.iter().map(|v| -v).collect();
-        let models = KernelRidge::new(0.4).fit_many(&x, &[&y, &flipped]).unwrap();
-        assert_eq!(models.len(), 2);
-        assert_eq!(models[0], KernelRidge::new(0.4).fit(&x, &y).unwrap());
-        assert_eq!(models[1], KernelRidge::new(0.4).fit(&x, &flipped).unwrap());
     }
 
     #[test]

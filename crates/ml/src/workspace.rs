@@ -1,45 +1,43 @@
-//! Shared negative-Gram workspace for batched KRR enrollment.
+//! Shared negative-Gram workspace for KRR enrollment and retrains.
 //!
-//! Every user enrolled against the same frozen negative pool solves a
+//! Every user fitted against the same frozen negative sample solves a
 //! ridge system whose negative block is identical; only the (much
 //! smaller) positive block differs per user. [`KrrSharedWorkspace`]
-//! precomputes the negative block once and [`KernelRidge::fit_shared`]
-//! reuses it per user:
+//! precomputes the negative block once and
+//! [`KernelRidge::fit_scaled_shared_tail`] reuses it per fit. That one
+//! closed form serves enrollment (a cold fit: no previous tail) and every
+//! confidence-triggered retrain:
 //!
 //! * **Primal / linear kernel** (the production path): the raw negative
-//!   column Gram `NᵀN` and the negative column sums are shared; each
-//!   user's fit adds its positive contributions and applies the centring
-//!   correction `S = G_raw − n·μμᵀ` in closed form — O(n_pos·M² + M³)
-//!   per user instead of O((n_pos+n_neg)·M² + M³), with no second pass
-//!   over the negatives.
-//! * **Dual / RBF kernel**: RBF is translation invariant, so the
-//!   negative×negative kernel block — and its Cholesky factor
-//!   `chol(K_nn + ρI)` — is independent of per-user centring. The shared
-//!   factor is **bordered** ([`Cholesky::append_row`]) with one row per
-//!   positive sample: O(n_pos·n²) per user instead of an O(n³)
-//!   refactorisation of the full (n_neg+n_pos) system.
-//! * Anything else (linear-dual, polynomial) falls back to a full
-//!   [`KernelRidge::fit`]; [`KrrFitCache`] counters make the distinction
-//!   observable.
+//!   column Gram `NᵀN` and the negative column sums are shared. Each fit
+//!   adds its positive contributions and solves the raw system
+//!   `A = PᵀP + NᵀN − n·μμᵀ + ρ·D²`, `w = D·A⁻¹·((Σpos − Σneg) − n·ȳ·μ)`,
+//!   where `D` holds the clamped per-column stds of the stacked rows —
+//!   O(n_pos·M² + M³) per fit instead of O((n_pos+n_neg)·M² + M³), with no
+//!   second pass over the negatives. It reproduces the sequential
+//!   `Scaler::fit` → transform → [`KernelRidge::fit`] pipeline on the
+//!   stacked `[positives; negatives]` rows without materialising them.
+//! * Anything else (the dual solver, which `Auto` picks when features ≥
+//!   rows, or a non-linear kernel) runs that sequential pipeline on the
+//!   stacked rows: per-fit z-scoring rescales every column, so no kernel
+//!   block survives from one user to the next. [`KrrFitCache`] counters
+//!   make the distinction observable.
 //!
-//! Shared-workspace fits agree with the sequential [`KernelRidge::fit`]
-//! on the stacked `[positives; negatives]` matrix to tight epsilon (the
-//! summation order differs, so not bit-for-bit) — pinned by this
-//! module's tests and by the core crate's `enroll_parity` suite.
+//! Shared fits agree with the sequential pipeline to tight epsilon (the
+//! summation order differs, so not bit-for-bit) — pinned by this module's
+//! tests and by the core crate's `enroll_parity` suite.
 //!
-//! **Retrain tail-slide.** Confidence-triggered retrains repeat the scaled
-//! primal fit with a positive tail that usually differs from the previous
-//! fit by only a few buffer windows. [`KernelRidge::fit_scaled_shared_tail`]
-//! therefore keeps a [`KrrTailState`] per model — the previous tail, its
-//! moments and the Cholesky factor of the **raw** system
-//! `A = Gc + ρD²` (with `Gc = PᵀP + NᵀN − n·μμᵀ` and `D` the clamped
-//! per-column stds; `w = D·A⁻¹·(Xᵀy)` recovers the scaled solution) — and
-//! slides that factor with rank-1 [`Cholesky::update`]/[`Cholesky::downdate`]
-//! ops when the new tail is a bitwise slide of the old one, instead of
-//! refactoring from scratch. The raw form is what makes sliding possible:
-//! per-fit z-scoring rescales every entry of the scaled system, but in the
-//! raw system a changed row is a rank-1 term and the re-scaling is confined
-//! to the ridge diagonal `ρD²` (one sparse rank-1 op per column).
+//! **Retrain tail-slide.** Confidence-triggered retrains repeat the fit
+//! with a positive tail that usually differs from the previous fit by only
+//! a few buffer windows. [`KernelRidge::fit_scaled_shared_tail`] therefore
+//! keeps a [`KrrTailState`] per model — the previous tail, its moments and
+//! the Cholesky factor of `A` — and slides that factor with rank-1
+//! [`Cholesky::update`]/[`Cholesky::downdate`] ops when the new tail is a
+//! bitwise slide of the old one, instead of refactoring from scratch. The
+//! raw form is what makes sliding possible: per-fit z-scoring rescales
+//! every entry of the scaled system, but in the raw system a changed row
+//! is a rank-1 term and the re-scaling is confined to the ridge diagonal
+//! `ρD²` (one sparse rank-1 op per column).
 
 use serde::{Deserialize, Serialize};
 
@@ -48,8 +46,8 @@ use smarteryou_linalg::{Cholesky, Matrix};
 use crate::krr::{KrrFitCache, KrrKind, KrrModel};
 use crate::{Kernel, KernelRidge, KrrSolver, MlError, Scaler};
 
-/// The per-pool precomputed negative block of a KRR enrollment fit: built
-/// once per `NegativeEpoch`, reused by every user enrolling against it.
+/// The per-pool precomputed negative block of a KRR fit: built once per
+/// `NegativeEpoch`, reused by every enrollment and retrain against it.
 #[derive(Debug, Clone)]
 pub struct KrrSharedWorkspace {
     /// Trainer configuration the blocks were computed under; fits must
@@ -59,23 +57,14 @@ pub struct KrrSharedWorkspace {
     neg: Matrix,
     /// Per-column sums of the negative rows (shared centring term).
     neg_col_sum: Vec<f64>,
-    /// Raw negative column Gram `NᵀN` — primal/linear path.
+    /// Raw negative column Gram `NᵀN` — linear kernel only.
     neg_gram_cols: Option<Matrix>,
-    /// `chol(K_nn + ρI)` over the raw negative rows — bordered dual path
-    /// (only for translation-invariant kernels, where raw ≡ centred).
-    neg_factor: Option<Cholesky>,
 }
 
 impl KrrSharedWorkspace {
     /// Number of negative rows in the shared block.
     pub fn num_negatives(&self) -> usize {
         self.neg.rows()
-    }
-
-    /// True when fits against this workspace reuse a shared precomputed
-    /// block (false means every fit falls back to a full factorisation).
-    pub fn is_shared(&self) -> bool {
-        self.neg_gram_cols.is_some() || self.neg_factor.is_some()
     }
 }
 
@@ -157,9 +146,9 @@ fn slide_budget(prev_rows: usize) -> usize {
     (prev_rows / 2).max(4)
 }
 
-/// Same zero-variance clamp as `Scaler::fit` and the S-form closed form:
-/// the subtraction form of the variance can dip microscopically negative
-/// for near-constant columns, hence the `max(0.0)`.
+/// Same zero-variance clamp as `Scaler::fit`: the subtraction form of the
+/// variance can dip microscopically negative for near-constant columns,
+/// hence the `max(0.0)`.
 fn clamped_stds(pos_gram_diag: &[f64], neg_gram: &Matrix, means: &[f64], n: f64) -> Vec<f64> {
     pos_gram_diag
         .iter()
@@ -177,10 +166,11 @@ fn clamped_stds(pos_gram_diag: &[f64], neg_gram: &Matrix, means: &[f64], n: f64)
         .collect()
 }
 
-/// Solves the raw A-form system against a ready factor and assembles the
+/// Solves the raw system `A` against a ready factor and assembles the
 /// scaled model: `z = A⁻¹·((Σpos − Σneg) − n·ȳ·μ)`, `w = D·z`. Shared by
 /// the full refit and the slide path so both produce identical model
-/// shapes (zero centring vector, scaler from closed-form moments).
+/// shapes (zero centring vector; the caller pairs it with the scaler of
+/// the same closed-form moments).
 #[allow(clippy::too_many_arguments)] // private solver shared by refit + slide
 fn solve_a_form(
     chol: &Cholesky,
@@ -191,31 +181,31 @@ fn solve_a_form(
     stds: &[f64],
     n: f64,
     y_mean: f64,
-) -> Result<(Scaler, KrrModel), MlError> {
+) -> Result<KrrModel, MlError> {
     let m = means.len();
     let mut z: Vec<f64> = (0..m)
         .map(|j| (pos_col_sum[j] - neg_col_sum[j]) - n * y_mean * means[j])
         .collect();
     chol.solve_into(&mut z)?;
     let w: Vec<f64> = z.iter().zip(stds).map(|(&zj, &dj)| dj * zj).collect();
-    let model = KrrModel {
+    Ok(KrrModel {
         kind: KrrKind::Linear { w },
         x_mean: vec![0.0; m],
         y_mean,
         rho,
-    };
-    Ok((Scaler::from_moments(means.to_vec(), stds.to_vec()), model))
+    })
 }
 
 impl KernelRidge {
-    /// Precomputes the shared negative block for batched enrollment fits
-    /// against a fixed negative sample. See the [module docs](self) for
-    /// what is shared per kernel/solver combination.
+    /// Precomputes the shared negative block for fits against a fixed
+    /// negative sample: the negative column sums, plus the raw column Gram
+    /// `NᵀN` when the kernel is linear. Other kernels keep only the rows,
+    /// which [`KernelRidge::fit_scaled_shared_tail`] stacks for its
+    /// sequential fallback.
     ///
     /// # Errors
     ///
-    /// [`MlError::InvalidTrainingData`] for an empty negative matrix;
-    /// [`MlError::Linalg`] if `K_nn + ρI` is not SPD (RBF path).
+    /// [`MlError::InvalidTrainingData`] for an empty negative matrix.
     pub fn shared_workspace(&self, negatives: Matrix) -> Result<KrrSharedWorkspace, MlError> {
         if negatives.rows() == 0 || negatives.cols() == 0 {
             return Err(MlError::InvalidTrainingData(
@@ -229,28 +219,46 @@ impl KernelRidge {
                 *s += v;
             }
         }
-        let (neg_gram_cols, neg_factor) = match self.kernel {
-            Kernel::Linear => (Some(negatives.gram_columns()), None),
-            kernel if kernel.is_translation_invariant() => {
-                let mut k = kernel.gram(&negatives);
-                k.add_diagonal(self.rho);
-                (None, Some(k.cholesky()?))
-            }
-            _ => (None, None),
-        };
+        let neg_gram_cols = (self.kernel == Kernel::Linear).then(|| negatives.gram_columns());
         Ok(KrrSharedWorkspace {
             trainer: *self,
             neg: negatives,
             neg_col_sum,
             neg_gram_cols,
-            neg_factor,
         })
     }
 
-    /// Fits one user's model against the workspace's shared negative
-    /// block: the design matrix is the user's `positives` (labelled +1)
-    /// stacked with the workspace negatives (labelled −1). Decisions
-    /// agree with the equivalent [`KernelRidge::fit`] to tight epsilon.
+    /// Fits one user's scaled model against the workspace's shared
+    /// negative block: the design matrix is the user's `positives`
+    /// (labelled +1) stacked over the workspace negatives (labelled −1)
+    /// and z-scored as `Scaler::fit` would z-score the stack. Returns the
+    /// fitted scaler together with a model that expects **scaled** inputs
+    /// (apply the scaler before scoring).
+    ///
+    /// `tail` is the previous fit's [`KrrTailState`]. Enrollment passes
+    /// `&mut None` (a cold fit) and drops the result; a retrain keeps it,
+    /// so a positive tail that *slid* by only a few rows costs a handful
+    /// of rank-1 factor ops. Behaviour by path:
+    /// * **Slide** — the new tail bitwise-overlaps the previous one and
+    ///   `removed + added ≤ max(4, previous rows / 2)`: the cached factor
+    ///   is cloned, slid with [`Cholesky::update`]/[`Cholesky::downdate`],
+    ///   and `tail` is re-committed. Counts a shared hit.
+    /// * **Full refit** — no usable tail, no alignment, over budget, or
+    ///   the slide failed (e.g. `DowndateNotPositiveDefinite` on a
+    ///   near-singular slide, which leaves the cached factor untouched
+    ///   because the ops ran on a clone): one fresh m×m factorisation of
+    ///   the raw system off the shared negative block, re-basing `tail`.
+    ///   Still a shared hit.
+    /// * **Fallback** — non-(primal, linear) configuration: the sequential
+    ///   pipeline on the stacked rows, `tail` cleared, counts a true miss.
+    ///
+    /// z-scored columns have exactly zero mean, so the closed form pins
+    /// the model's centring vector to zero instead of the ~1e-16 residue
+    /// the sequential pipeline measures: full refits agree with
+    /// `Scaler::fit` → [`KernelRidge::fit`] on the stacked rows to tight
+    /// epsilon, not bit for bit, and a slide agrees with its own full
+    /// refit to rank-1-accumulation accuracy — pinned by this module's
+    /// tests.
     ///
     /// # Errors
     ///
@@ -258,237 +266,6 @@ impl KernelRidge {
     /// differs from the one the workspace was built with;
     /// [`MlError::InvalidTrainingData`] for empty/mismatched positives;
     /// [`MlError::Linalg`] if the ridge system cannot be solved.
-    pub fn fit_shared(
-        &self,
-        ws: &KrrSharedWorkspace,
-        positives: &Matrix,
-    ) -> Result<KrrModel, MlError> {
-        self.fit_shared_impl(ws, positives, None)
-    }
-
-    /// [`KernelRidge::fit_shared`] with [`KrrFitCache`] accounting: a fit
-    /// served off the shared block counts as a cache hit (the
-    /// label-independent prefix was reused), a fallback to the full
-    /// factorisation as a miss.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KernelRidge::fit_shared`].
-    pub fn fit_shared_cached(
-        &self,
-        cache: &mut KrrFitCache,
-        ws: &KrrSharedWorkspace,
-        positives: &Matrix,
-    ) -> Result<KrrModel, MlError> {
-        self.fit_shared_impl(ws, positives, Some(cache))
-    }
-
-    /// Fits one model per user against a shared workspace — the batched
-    /// enrollment entry point. Element `i` of the result is the model for
-    /// `users[i]` (each a positives matrix, labelled +1, stacked against
-    /// the shared negatives).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KernelRidge::fit_shared`], for each user; fails fast on
-    /// the first error.
-    pub fn fit_batch_shared(
-        &self,
-        ws: &KrrSharedWorkspace,
-        users: &[Matrix],
-    ) -> Result<Vec<KrrModel>, MlError> {
-        users.iter().map(|pos| self.fit_shared(ws, pos)).collect()
-    }
-
-    /// The scaled variant of [`KernelRidge::fit_shared`]: reproduces the
-    /// full enrollment pipeline `Scaler::fit(stacked) → transform → fit`
-    /// without materialising the stacked matrix or rescanning the
-    /// negatives. Returns the fitted scaler together with a model that
-    /// expects **scaled** inputs (apply the scaler before scoring).
-    ///
-    /// Only the primal/linear combination has a closed form under
-    /// per-user z-scoring (scaling is not a translation, so the bordered
-    /// kernel path cannot share); other combinations fall back to the
-    /// sequential pipeline on the stacked rows.
-    ///
-    /// The closed form exploits that z-scored columns have exactly zero
-    /// mean, so the KRR's internal centring vector is pinned to zero
-    /// instead of the ~1e-16 residue the sequential path measures —
-    /// decisions agree to tight epsilon, not bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KernelRidge::fit_shared`].
-    pub fn fit_scaled_shared(
-        &self,
-        ws: &KrrSharedWorkspace,
-        positives: &Matrix,
-    ) -> Result<(Scaler, KrrModel), MlError> {
-        self.fit_scaled_shared_impl(ws, positives, None)
-    }
-
-    /// [`KernelRidge::fit_scaled_shared`] with [`KrrFitCache`] accounting
-    /// (closed-form reuse of the shared block counts as a hit, the
-    /// sequential fallback as a miss).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KernelRidge::fit_shared`].
-    pub fn fit_scaled_shared_cached(
-        &self,
-        cache: &mut KrrFitCache,
-        ws: &KrrSharedWorkspace,
-        positives: &Matrix,
-    ) -> Result<(Scaler, KrrModel), MlError> {
-        self.fit_scaled_shared_impl(ws, positives, Some(cache))
-    }
-
-    fn fit_scaled_shared_impl(
-        &self,
-        ws: &KrrSharedWorkspace,
-        positives: &Matrix,
-        cache: Option<&mut KrrFitCache>,
-    ) -> Result<(Scaler, KrrModel), MlError> {
-        if *self != ws.trainer {
-            return Err(MlError::InvalidParameter(
-                "shared workspace was built under a different trainer configuration".into(),
-            ));
-        }
-        let m = ws.neg.cols();
-        if positives.rows() == 0 {
-            return Err(MlError::InvalidTrainingData(
-                "shared fit needs at least one positive row".into(),
-            ));
-        }
-        if positives.cols() != m {
-            return Err(MlError::InvalidTrainingData(format!(
-                "positive rows have {} features, negative block has {m}",
-                positives.cols()
-            )));
-        }
-        let n = positives.rows() + ws.neg.rows();
-        let solver = self.resolve_solver(n, m)?;
-        let primal_gram = match solver {
-            KrrSolver::Primal | KrrSolver::Auto => ws.neg_gram_cols.as_ref(),
-            KrrSolver::Dual => None,
-        };
-        match primal_gram {
-            Some(gram) => {
-                if let Some(cache) = cache {
-                    cache.note_shared_hit();
-                }
-                self.fit_scaled_primal_shared(ws, gram, positives)
-            }
-            None => {
-                // Per-user scaling breaks the shared kernel block, so any
-                // non-(primal, linear) combination runs the sequential
-                // pipeline on the stacked rows.
-                if let Some(cache) = cache {
-                    cache.note_shared_miss();
-                }
-                let (stacked, y) = stack(positives, &ws.neg)?;
-                let scaler = Scaler::fit(&stacked);
-                let model = self.fit(&scaler.transform(&stacked), &y)?;
-                Ok((scaler, model))
-            }
-        }
-    }
-
-    /// Scaled primal path. With raw moments `G = PᵀP + NᵀN`,
-    /// `σ = Σpos + Σneg`, mean `μ = σ/n` and z-scores `x' = (x − μ) ⊘ d`:
-    /// the scaled columns sum to zero, so the centred scatter is
-    /// `S[i][j] = (G[i][j] − n·μᵢμⱼ) / (dᵢdⱼ)` and the target projection
-    /// is `(Xᵀy)ⱼ = ((Σpos − Σneg)ⱼ − n·ȳ·μⱼ) / dⱼ`, both assembled
-    /// without touching the negative rows again.
-    fn fit_scaled_primal_shared(
-        &self,
-        ws: &KrrSharedWorkspace,
-        neg_gram: &Matrix,
-        positives: &Matrix,
-    ) -> Result<(Scaler, KrrModel), MlError> {
-        let m = positives.cols();
-        let n_p = positives.rows();
-        let n_n = ws.neg.rows();
-        let n = (n_p + n_n) as f64;
-        let y_mean = (n_p as f64 - n_n as f64) / n;
-        let mut pos_col_sum = vec![0.0; m];
-        for row in positives.iter_rows() {
-            for (s, &v) in pos_col_sum.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
-        let means: Vec<f64> = pos_col_sum
-            .iter()
-            .zip(&ws.neg_col_sum)
-            .map(|(&p, &ng)| (p + ng) / n)
-            .collect();
-        let pos_gram = positives.gram_columns();
-        // Same zero-variance clamp as `Scaler::fit`; the subtraction form
-        // of the variance can dip microscopically negative for
-        // near-constant columns, hence the max(0.0).
-        let stds: Vec<f64> = (0..m)
-            .map(|j| {
-                let col_sq = pos_gram[(j, j)] + neg_gram[(j, j)];
-                let var = ((col_sq - n * means[j] * means[j]) / n).max(0.0);
-                let s = var.sqrt();
-                if s > 1e-12 {
-                    s
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let mut s = Matrix::zeros(m, m);
-        for i in 0..m {
-            for j in 0..m {
-                let raw = pos_gram[(i, j)] + neg_gram[(i, j)] - n * means[i] * means[j];
-                s[(i, j)] = raw / (stds[i] * stds[j]);
-            }
-        }
-        s.add_diagonal(self.rho);
-        let chol = s.cholesky()?;
-        let mut w: Vec<f64> = (0..m)
-            .map(|j| {
-                let xy = (pos_col_sum[j] - ws.neg_col_sum[j]) - n * y_mean * means[j];
-                xy / stds[j]
-            })
-            .collect();
-        chol.solve_into(&mut w)?;
-        let model = KrrModel {
-            kind: KrrKind::Linear { w },
-            x_mean: vec![0.0; m],
-            y_mean,
-            rho: self.rho,
-        };
-        Ok((Scaler::from_moments(means, stds), model))
-    }
-
-    /// The retrain variant of [`KernelRidge::fit_scaled_shared_cached`]:
-    /// identical math and validation, plus a per-model [`KrrTailState`]
-    /// that turns a retrain whose positive tail *slid* by only a few rows
-    /// into a handful of rank-1 factor ops (see the [module docs](self)).
-    ///
-    /// Behaviour by path:
-    /// * **Slide** — the new tail bitwise-overlaps the previous one within
-    ///   the [`slide_budget`] decision rule: the cached factor is cloned,
-    ///   slid with [`Cholesky::update`]/[`Cholesky::downdate`], and `tail`
-    ///   is re-committed. Counts a shared hit.
-    /// * **Full refit** — no usable tail, no alignment, over budget, or
-    ///   the slide failed (e.g. `DowndateNotPositiveDefinite` on a
-    ///   near-singular slide, which leaves the cached factor untouched
-    ///   because the ops ran on a clone): one fresh m×m factorisation off
-    ///   the shared negative block, re-basing `tail`. Still a shared hit.
-    /// * **Fallback** — non-(primal, linear) configuration: sequential
-    ///   stacked fit, `tail` cleared, counts a true miss.
-    ///
-    /// Fits agree with [`KernelRidge::fit_scaled_shared`] to tight epsilon
-    /// (the raw A-form and the scaled S-form order the arithmetic
-    /// differently), and the slide agrees with its own full refit to
-    /// rank-1-accumulation accuracy — pinned by this module's tests.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KernelRidge::fit_scaled_shared`].
     pub fn fit_scaled_shared_tail(
         &self,
         cache: &mut KrrFitCache,
@@ -538,9 +315,9 @@ impl KernelRidge {
         }
     }
 
-    /// Scaled primal retrain path over the raw A-form system (see the
-    /// [module docs](self)): tries the incremental slide off `tail`, falls
-    /// back to a full refit that re-bases `tail`.
+    /// Scaled primal path over the raw system (see the [module
+    /// docs](self)): tries the incremental slide off `tail`, falls back to
+    /// a full refit that re-bases `tail`.
     fn fit_scaled_primal_tail(
         &self,
         ws: &KrrSharedWorkspace,
@@ -601,7 +378,7 @@ impl KernelRidge {
             a[(i, i)] += self.rho * stds[i] * stds[i];
         }
         let chol = a.cholesky()?;
-        let (scaler, model) = solve_a_form(
+        let model = solve_a_form(
             &chol,
             self.rho,
             &pos_col_sum,
@@ -615,12 +392,12 @@ impl KernelRidge {
             positives: positives.clone(),
             pos_col_sum,
             pos_gram_diag,
-            stds,
+            stds: stds.clone(),
             factor: chol,
             neg_rows: n_n,
             rho: self.rho,
         });
-        Ok((scaler, model))
+        Ok((Scaler::from_moments(means, stds), model))
     }
 
     /// Slides the previous fit's factor to the new tail: rank-1 updates
@@ -701,7 +478,7 @@ impl KernelRidge {
             e[j] = 0.0;
         }
 
-        let (scaler, model) = solve_a_form(
+        let model = solve_a_form(
             &chol,
             self.rho,
             pos_col_sum,
@@ -711,6 +488,7 @@ impl KernelRidge {
             n,
             y_mean,
         )?;
+        let scaler = Scaler::from_moments(means.to_vec(), stds.clone());
         let next = KrrTailState {
             positives: positives.clone(),
             pos_col_sum: pos_col_sum.to_vec(),
@@ -721,168 +499,6 @@ impl KernelRidge {
             rho: self.rho,
         };
         Ok((scaler, model, next))
-    }
-
-    fn fit_shared_impl(
-        &self,
-        ws: &KrrSharedWorkspace,
-        positives: &Matrix,
-        cache: Option<&mut KrrFitCache>,
-    ) -> Result<KrrModel, MlError> {
-        if *self != ws.trainer {
-            return Err(MlError::InvalidParameter(
-                "shared workspace was built under a different trainer configuration".into(),
-            ));
-        }
-        let m = ws.neg.cols();
-        if positives.rows() == 0 {
-            return Err(MlError::InvalidTrainingData(
-                "shared fit needs at least one positive row".into(),
-            ));
-        }
-        if positives.cols() != m {
-            return Err(MlError::InvalidTrainingData(format!(
-                "positive rows have {} features, negative block has {m}",
-                positives.cols()
-            )));
-        }
-        let n_p = positives.rows();
-        let n_n = ws.neg.rows();
-        let n = n_p + n_n;
-        let solver = self.resolve_solver(n, m)?;
-        let y_mean = (n_p as f64 - n_n as f64) / n as f64;
-
-        let shared = match solver {
-            KrrSolver::Primal | KrrSolver::Auto => ws
-                .neg_gram_cols
-                .as_ref()
-                .map(|gram| self.fit_primal_shared(ws, gram, positives, y_mean)),
-            KrrSolver::Dual => ws
-                .neg_factor
-                .as_ref()
-                .map(|factor| self.fit_dual_bordered(ws, factor, positives, y_mean)),
-        };
-        match shared {
-            Some(result) => {
-                if let Some(cache) = cache {
-                    cache.note_shared_hit();
-                }
-                result
-            }
-            None => {
-                // No shareable block for this kernel/solver combination:
-                // full sequential fit on the stacked matrix.
-                if let Some(cache) = cache {
-                    cache.note_shared_miss();
-                }
-                let (stacked, y) = stack(positives, &ws.neg)?;
-                self.fit(&stacked, &y)
-            }
-        }
-    }
-
-    /// Primal path: `S = Xcᵀ Xc = (PᵀP + NᵀN) − n·μμᵀ` and
-    /// `Xcᵀ yc = (Σpos − Σneg) − n·ȳ·μ`, with `NᵀN` and `Σneg` shared.
-    fn fit_primal_shared(
-        &self,
-        ws: &KrrSharedWorkspace,
-        neg_gram: &Matrix,
-        positives: &Matrix,
-        y_mean: f64,
-    ) -> Result<KrrModel, MlError> {
-        let m = positives.cols();
-        let n = (positives.rows() + ws.neg.rows()) as f64;
-        let mut pos_col_sum = vec![0.0; m];
-        for row in positives.iter_rows() {
-            for (s, &v) in pos_col_sum.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
-        let x_mean: Vec<f64> = pos_col_sum
-            .iter()
-            .zip(&ws.neg_col_sum)
-            .map(|(&p, &ng)| (p + ng) / n)
-            .collect();
-        let mut s = positives.gram_columns();
-        for i in 0..m {
-            for j in 0..m {
-                s[(i, j)] += neg_gram[(i, j)] - n * x_mean[i] * x_mean[j];
-            }
-        }
-        s.add_diagonal(self.rho);
-        let chol = s.cholesky()?;
-        let mut w: Vec<f64> = pos_col_sum
-            .iter()
-            .zip(&ws.neg_col_sum)
-            .zip(&x_mean)
-            .map(|((&p, &ng), &mu)| (p - ng) - n * y_mean * mu)
-            .collect();
-        chol.solve_into(&mut w)?;
-        Ok(KrrModel {
-            kind: KrrKind::Linear { w },
-            x_mean,
-            y_mean,
-            rho: self.rho,
-        })
-    }
-
-    /// Dual path for translation-invariant kernels: the shared
-    /// `chol(K_nn + ρI)` is bordered with one row per positive sample
-    /// (kernel entries are centring-independent, so raw rows serve).
-    /// Training rows are ordered `[negatives; positives]` — decisions are
-    /// order-independent up to float summation.
-    fn fit_dual_bordered(
-        &self,
-        ws: &KrrSharedWorkspace,
-        factor: &Cholesky,
-        positives: &Matrix,
-        y_mean: f64,
-    ) -> Result<KrrModel, MlError> {
-        let n_p = positives.rows();
-        let n_n = ws.neg.rows();
-        let n = n_p + n_n;
-        let mut chol = factor.clone();
-        let mut border = Vec::with_capacity(n - 1);
-        for j in 0..n_p {
-            let q = positives.row(j);
-            border.clear();
-            border.extend((0..n_n).map(|i| self.kernel.eval(ws.neg.row(i), q)));
-            border.extend((0..j).map(|i| self.kernel.eval(positives.row(i), q)));
-            let diag = self.kernel.eval(q, q) + self.rho;
-            chol.append_row(&border, diag)?;
-        }
-        let mut alphas: Vec<f64> = (0..n)
-            .map(|i| if i < n_n { -1.0 - y_mean } else { 1.0 - y_mean })
-            .collect();
-        chol.solve_into(&mut alphas)?;
-        // The model stores centred training rows like the sequential fit
-        // (harmless for a translation-invariant kernel, but keeps the
-        // serialized form consistent).
-        let mut x_mean = vec![0.0; positives.cols()];
-        for row in ws.neg.iter_rows().chain(positives.iter_rows()) {
-            for (s, &v) in x_mean.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
-        for mu in &mut x_mean {
-            *mu /= n as f64;
-        }
-        let mut train = Matrix::zeros(n, positives.cols());
-        for (r, row) in ws.neg.iter_rows().chain(positives.iter_rows()).enumerate() {
-            for (c, (&v, &mu)) in row.iter().zip(&x_mean).enumerate() {
-                train[(r, c)] = v - mu;
-            }
-        }
-        Ok(KrrModel {
-            kind: KrrKind::Kernelized {
-                kernel: self.kernel,
-                train,
-                alphas,
-            },
-            x_mean,
-            y_mean,
-            rho: self.rho,
-        })
     }
 }
 
@@ -919,142 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn primal_shared_fit_matches_sequential_fit() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let neg = random_matrix(&mut rng, 24, 5, 0.0);
-        let trainer = KernelRidge::new(0.8);
-        let ws = trainer.shared_workspace(neg.clone()).unwrap();
-        assert!(ws.is_shared());
-        for _ in 0..4 {
-            let pos = random_matrix(&mut rng, 12, 5, 0.7);
-            let shared = trainer.fit_shared(&ws, &pos).unwrap();
-            let (stacked, y) = stack(&pos, &neg).unwrap();
-            let sequential = trainer.fit(&stacked, &y).unwrap();
-            let q = probes(&mut rng, 5);
-            for (a, b) in shared
-                .decision_batch(&q)
-                .iter()
-                .zip(sequential.decision_batch(&q))
-            {
-                assert!((a - b).abs() < 1e-9, "shared {a} vs sequential {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn rbf_bordered_fit_matches_sequential_fit() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let neg = random_matrix(&mut rng, 16, 4, 0.0);
-        let trainer = KernelRidge::new(0.5).with_kernel(Kernel::Rbf { gamma: 0.7 });
-        let ws = trainer.shared_workspace(neg.clone()).unwrap();
-        assert!(ws.is_shared());
-        let pos = random_matrix(&mut rng, 6, 4, 0.9);
-        let shared = trainer.fit_shared(&ws, &pos).unwrap();
-        let (stacked, y) = stack(&pos, &neg).unwrap();
-        let sequential = trainer.fit(&stacked, &y).unwrap();
-        let q = probes(&mut rng, 4);
-        for (a, b) in shared
-            .decision_batch(&q)
-            .iter()
-            .zip(sequential.decision_batch(&q))
-        {
-            assert!((a - b).abs() < 1e-8, "shared {a} vs sequential {b}");
-        }
-    }
-
-    #[test]
-    fn unsupported_kernel_falls_back_and_counts_misses() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let neg = random_matrix(&mut rng, 10, 3, 0.0);
-        let trainer = KernelRidge::new(0.5).with_kernel(Kernel::Polynomial {
-            degree: 2,
-            coef: 1.0,
-        });
-        let ws = trainer.shared_workspace(neg.clone()).unwrap();
-        assert!(!ws.is_shared());
-        let pos = random_matrix(&mut rng, 5, 3, 0.8);
-        let mut cache = KrrFitCache::new();
-        let shared = trainer.fit_shared_cached(&mut cache, &ws, &pos).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let (stacked, y) = stack(&pos, &neg).unwrap();
-        let sequential = trainer.fit(&stacked, &y).unwrap();
-        assert_eq!(shared, sequential, "fallback is the sequential fit");
-    }
-
-    #[test]
-    fn batch_shared_fits_every_user_and_counts_hits() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let neg = random_matrix(&mut rng, 20, 4, 0.0);
-        let trainer = KernelRidge::new(1.0);
-        let ws = trainer.shared_workspace(neg.clone()).unwrap();
-        let users: Vec<Matrix> = (0..5)
-            .map(|_| random_matrix(&mut rng, 10, 4, 0.6))
-            .collect();
-        let models = trainer.fit_batch_shared(&ws, &users).unwrap();
-        assert_eq!(models.len(), users.len());
-        let mut cache = KrrFitCache::new();
-        for pos in &users {
-            let cached = trainer.fit_shared_cached(&mut cache, &ws, pos).unwrap();
-            let q = probes(&mut rng, 4);
-            let direct = trainer.fit_shared(&ws, pos).unwrap();
-            for (a, b) in cached
-                .decision_batch(&q)
-                .iter()
-                .zip(direct.decision_batch(&q))
-            {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        assert_eq!((cache.hits(), cache.misses()), (5, 0));
-    }
-
-    #[test]
-    fn scaled_shared_fit_matches_sequential_scaler_pipeline() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let neg = random_matrix(&mut rng, 24, 5, 0.0);
-        let trainer = KernelRidge::new(0.8);
-        let ws = trainer.shared_workspace(neg.clone()).unwrap();
-        let mut cache = KrrFitCache::new();
-        for _ in 0..4 {
-            let pos = random_matrix(&mut rng, 12, 5, 0.7);
-            let (scaler, model) = trainer
-                .fit_scaled_shared_cached(&mut cache, &ws, &pos)
-                .unwrap();
-            // Sequential pipeline: fit the scaler on the stacked rows,
-            // transform, then fit KRR on the scaled matrix.
-            let (stacked, y) = stack(&pos, &neg).unwrap();
-            let seq_scaler = Scaler::fit(&stacked);
-            let seq_model = trainer.fit(&seq_scaler.transform(&stacked), &y).unwrap();
-            let q = probes(&mut rng, 5);
-            for row in q.iter_rows() {
-                let a = model.decision(&scaler.transform_vec(row));
-                let b = seq_model.decision(&seq_scaler.transform_vec(row));
-                assert!((a - b).abs() < 1e-9, "scaled shared {a} vs sequential {b}");
-            }
-        }
-        assert_eq!((cache.hits(), cache.misses()), (4, 0));
-    }
-
-    #[test]
-    fn scaled_shared_fallback_matches_sequential_and_counts_miss() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let neg = random_matrix(&mut rng, 16, 4, 0.0);
-        let trainer = KernelRidge::new(0.5).with_kernel(Kernel::Rbf { gamma: 0.7 });
-        let ws = trainer.shared_workspace(neg.clone()).unwrap();
-        let pos = random_matrix(&mut rng, 6, 4, 0.9);
-        let mut cache = KrrFitCache::new();
-        let (scaler, model) = trainer
-            .fit_scaled_shared_cached(&mut cache, &ws, &pos)
-            .unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let (stacked, y) = stack(&pos, &neg).unwrap();
-        let seq_scaler = Scaler::fit(&stacked);
-        let seq_model = trainer.fit(&seq_scaler.transform(&stacked), &y).unwrap();
-        assert_eq!(scaler, seq_scaler);
-        assert_eq!(model, seq_model, "fallback is exactly the sequential fit");
-    }
-
-    #[test]
     fn scaled_shared_handles_constant_columns() {
         // A zero-variance column exercises the std clamp in the closed
         // form; it must match `Scaler::fit`'s clamp, not divide by ~0.
@@ -1068,7 +548,9 @@ mod tests {
         let pos = Matrix::from_rows(&pos_rows).unwrap();
         let trainer = KernelRidge::new(0.8);
         let ws = trainer.shared_workspace(neg.clone()).unwrap();
-        let (scaler, model) = trainer.fit_scaled_shared(&ws, &pos).unwrap();
+        let (scaler, model) = trainer
+            .fit_scaled_shared_tail(&mut KrrFitCache::new(), &ws, &pos, &mut None)
+            .unwrap();
         let (stacked, y) = stack(&pos, &neg).unwrap();
         let seq_scaler = Scaler::fit(&stacked);
         let seq_model = trainer.fit(&seq_scaler.transform(&stacked), &y).unwrap();
@@ -1095,35 +577,35 @@ mod tests {
     }
 
     #[test]
-    fn tail_fit_matches_scaled_shared_and_sequential() {
+    fn tail_fit_matches_sequential_scaler_pipeline() {
         let mut rng = StdRng::seed_from_u64(41);
         let neg = random_matrix(&mut rng, 24, 5, 0.0);
         let trainer = KernelRidge::new(0.8);
         let ws = trainer.shared_workspace(neg.clone()).unwrap();
-        let pos = random_matrix(&mut rng, 12, 5, 0.7);
         let mut cache = KrrFitCache::new();
-        let mut tail = None;
-        let (scaler, model) = trainer
-            .fit_scaled_shared_tail(&mut cache, &ws, &pos, &mut tail)
-            .unwrap();
-        assert!(tail.is_some(), "full refit must re-base the tail");
+        for _ in 0..4 {
+            let pos = random_matrix(&mut rng, 12, 5, 0.7);
+            let mut tail = None;
+            let (scaler, model) = trainer
+                .fit_scaled_shared_tail(&mut cache, &ws, &pos, &mut tail)
+                .unwrap();
+            assert!(tail.is_some(), "full refit must re-base the tail");
+            // Sequential pipeline: fit the scaler on the stacked rows,
+            // transform, then fit KRR on the scaled matrix.
+            let (stacked, y) = stack(&pos, &neg).unwrap();
+            let seq_scaler = Scaler::fit(&stacked);
+            let seq_model = trainer.fit(&seq_scaler.transform(&stacked), &y).unwrap();
+            let q = probes(&mut rng, 5);
+            for row in q.iter_rows() {
+                let a = model.decision(&scaler.transform_vec(row));
+                let b = seq_model.decision(&seq_scaler.transform_vec(row));
+                assert!((a - b).abs() < 1e-9, "closed form {a} vs sequential {b}");
+            }
+        }
         assert_eq!(
             (cache.shared_hits(), cache.keyed_hits(), cache.misses()),
-            (1, 0, 0)
+            (4, 0, 0)
         );
-        // Against the S-form closed form and the sequential pipeline.
-        let (s_scaler, s_model) = trainer.fit_scaled_shared(&ws, &pos).unwrap();
-        let (stacked, y) = stack(&pos, &neg).unwrap();
-        let seq_scaler = Scaler::fit(&stacked);
-        let seq_model = trainer.fit(&seq_scaler.transform(&stacked), &y).unwrap();
-        let q = probes(&mut rng, 5);
-        for row in q.iter_rows() {
-            let a = model.decision(&scaler.transform_vec(row));
-            let b = s_model.decision(&s_scaler.transform_vec(row));
-            let c = seq_model.decision(&seq_scaler.transform_vec(row));
-            assert!((a - b).abs() < 1e-9, "A-form {a} vs S-form {b}");
-            assert!((a - c).abs() < 1e-9, "A-form {a} vs sequential {c}");
-        }
     }
 
     #[test]
@@ -1366,7 +848,12 @@ mod tests {
         let ws = KernelRidge::new(0.5).shared_workspace(neg).unwrap();
         let pos = random_matrix(&mut rng, 4, 3, 0.5);
         assert!(matches!(
-            KernelRidge::new(0.7).fit_shared(&ws, &pos),
+            KernelRidge::new(0.7).fit_scaled_shared_tail(
+                &mut KrrFitCache::new(),
+                &ws,
+                &pos,
+                &mut None
+            ),
             Err(MlError::InvalidParameter(_))
         ));
     }
@@ -1379,9 +866,10 @@ mod tests {
         let ws = trainer
             .shared_workspace(random_matrix(&mut rng, 6, 3, 0.0))
             .unwrap();
-        assert!(trainer.fit_shared(&ws, &Matrix::zeros(0, 3)).is_err());
-        assert!(trainer
-            .fit_shared(&ws, &random_matrix(&mut rng, 2, 4, 0.0))
-            .is_err());
+        let fit = |pos: &Matrix| {
+            trainer.fit_scaled_shared_tail(&mut KrrFitCache::new(), &ws, pos, &mut None)
+        };
+        assert!(fit(&Matrix::zeros(0, 3)).is_err());
+        assert!(fit(&random_matrix(&mut rng, 2, 4, 0.0)).is_err());
     }
 }

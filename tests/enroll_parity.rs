@@ -1,17 +1,20 @@
 //! Parity suite for batched enrollment: `TrainingServer::enroll_many`
 //! (one pinned negative epoch + shared Gram workspace for the whole
-//! batch) must produce authenticators whose decisions agree with the
-//! sequential per-user path — `train_authenticator_epoch` seeded with the
-//! same pinned epoch — to tight epsilon on the paper's deployed
-//! 300-sample window (6 s × 50 Hz). The shared path reorders float
-//! summations, so the pin is epsilon parity, not bit parity (the existing
-//! `batch_parity`/`persist_parity` suites keep the per-window paths
-//! bit-identical).
+//! batch) runs the retrain closed form cold, so every authenticator is
+//! bit-identical to `train_authenticator_epoch_shared` over the same
+//! buffers, the batch's epoch and empty tails. Its decisions also agree
+//! with the stack-and-fit per-user path — `train_authenticator_epoch`
+//! seeded with the same pinned epoch — to tight epsilon on the paper's
+//! deployed 300-sample window (6 s × 50 Hz). The closed form reorders
+//! float summations, so that pin is epsilon parity, not bit parity (the
+//! existing `batch_parity`/`persist_parity` suites keep the per-window
+//! paths bit-identical).
 //!
 //! Also covers the pipeline/fleet plumbing: `SmarterYou::enroll_with`
 //! completes the enrollment phase in one step, records the
 //! `EnrollmentComplete` event, adopts the workspace epoch, and serves its
-//! fits off the shared block (observable as fit-cache hits);
+//! fits off the shared block (observable as fit-cache hits); enrollment
+//! never persists a positive-tail factor in the snapshot;
 //! `FleetEngine::enroll_many` batches a whole fleet against one workspace,
 //! building it exactly once per call whatever the batch size (and
 //! `ShardedFleet::enroll_many` at most once per non-empty shard) — the
@@ -25,6 +28,7 @@ use std::sync::Arc;
 use common::{build_world, World, WorldSeeds};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::Value;
 use smarteryou::core::engine::ShardedFleet;
 use smarteryou::core::persist::MemorySnapshotStore;
 use smarteryou::core::{
@@ -133,6 +137,106 @@ fn enroll_many_matches_sequential_epoch_training() {
             }
         }
     }
+}
+
+/// Enrollment is a cold retrain: every `enroll_many` authenticator equals
+/// `train_authenticator_epoch_shared` over the same buffers, the batch's
+/// pinned epoch, empty tails and a fresh workspace cache — one closed
+/// form for both, with no epsilon between them.
+#[test]
+fn enroll_many_equals_a_cold_retrain_bit_for_bit() {
+    let world = build_world(3, WINDOW_SECS, SEEDS);
+    let users: Vec<[Vec<Vec<f64>>; 2]> = world
+        .users
+        .iter()
+        .enumerate()
+        .map(|(u, profile)| enroll_buffers(&world, profile, 0xA11CE ^ (u as u64 + 1)))
+        .collect();
+    let server = world.server.lock();
+    let (epoch, batched) = server
+        .enroll_many(&users, &world.cfg, &mut StdRng::seed_from_u64(0xBEEF))
+        .expect("batched enrollment");
+
+    for (user, batch_auth) in users.iter().zip(&batched) {
+        let mut pinned = Some(epoch.clone());
+        let mut caches: [KrrFitCache; 2] = Default::default();
+        let mut tails = [None, None];
+        let retrained = server
+            .train_authenticator_epoch_shared(
+                user,
+                &world.cfg,
+                &mut StdRng::seed_from_u64(0xD00D),
+                &mut pinned,
+                &mut caches,
+                &mut tails,
+                &RetrainWorkspaceCache::new(),
+            )
+            .expect("cold retrain");
+        assert_eq!(
+            pinned.as_ref(),
+            Some(&epoch),
+            "retrain must reuse the epoch"
+        );
+        assert_eq!(batch_auth, &retrained, "enrollment must be a cold retrain");
+        // `==` on floats forgives the sign of zero; the JSON export does not.
+        assert_eq!(
+            serde_json::to_string(batch_auth).expect("serializes"),
+            serde_json::to_string(&retrained).expect("serializes"),
+        );
+    }
+}
+
+/// The `retrain_tails` entry of `pipeline`'s snapshot, read through the
+/// JSON export.
+fn persisted_tails(pipeline: &SmarterYou) -> Value {
+    let tree: Value =
+        serde_json::from_str(&pipeline.snapshot().to_json()).expect("snapshot JSON parses");
+    tree.get("retrain_tails").cloned().unwrap_or(Value::Null)
+}
+
+/// Enrollment keeps no positive-tail factor: a pipeline enrolled through
+/// `enroll_with` and one enrolled through `FleetEngine::enroll_many` both
+/// snapshot with `retrain_tails` `[null, null]`. A user who never retrained
+/// carries no factor in its snapshot, and its first retrain starts cold.
+#[test]
+fn enrollment_never_persists_a_tail() {
+    let world = build_world(1, WINDOW_SECS, SEEDS);
+    let buffers = enroll_buffers(&world, &world.users[0], 0x5EED);
+    let policy = ResponsePolicy {
+        rejects_to_lock: usize::MAX,
+    };
+    let no_tails = Value::Array(vec![Value::Null, Value::Null]);
+
+    let ws = world
+        .server
+        .enrollment_workspace(&world.cfg, &mut StdRng::seed_from_u64(0xFACE))
+        .expect("workspace builds");
+    let mut pipeline = world.pipeline_with(0x0DD1, policy, None);
+    pipeline
+        .enroll_with(&ws, buffers.clone())
+        .expect("batched enrollment");
+    assert_eq!(persisted_tails(&pipeline), no_tails, "enroll_with");
+
+    let mut engine = FleetEngine::new();
+    engine
+        .register(UserId(0), world.pipeline_with(0xF1EE7, policy, None))
+        .expect("registers");
+    engine
+        .enroll_many(
+            vec![(UserId(0), buffers)],
+            &mut StdRng::seed_from_u64(0xCAB),
+        )
+        .expect("fleet enrollment");
+    let enrolled = engine.pipeline(UserId(0)).expect("resident");
+    assert!(
+        enrolled.authenticator().is_some(),
+        "fleet user not enrolled"
+    );
+    assert_eq!(
+        persisted_tails(enrolled),
+        no_tails,
+        "FleetEngine::enroll_many"
+    );
 }
 
 #[test]
