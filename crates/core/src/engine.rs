@@ -9,10 +9,15 @@
 //! [`crate::parallel`]. Within each pipeline, pending windows are scored as
 //! grouped per-context matrix passes ([`SmarterYou::process_batch`]) rather
 //! than per-row kernel evaluations, and feature extraction runs through the
-//! cached [`WindowFeatures`](crate::WindowFeatures) path: each pipeline
-//! holds a planned FFT ([`FeatureScratch`](crate::FeatureScratch)) for its
-//! window length, so steady-state ticks plan no transforms and allocate
-//! nothing in the spectral kernels.
+//! cached [`WindowFeatures`](crate::WindowFeatures) path. Each tick thread
+//! keeps one [`FeatureScratch`](crate::FeatureScratch) (FFT plan tables and
+//! batch buffers) in a `thread_local` and extracts every pipeline it scores
+//! through it, so those pipelines share a hot workspace instead of each
+//! using a cold one of its own. [`parallel_map_mut`] spawns scoped worker
+//! threads on every call, so on a multi-core host a worker's scratch, its
+//! spectrum plan included, lives for one tick, and every tick plans the
+//! window length once per worker; only a sequential tick keeps its scratch
+//! across ticks.
 //!
 //! Decisions are **bit-identical** to feeding the same windows through
 //! sequential [`SmarterYou::process_window`] calls user by user: per-user

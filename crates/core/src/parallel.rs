@@ -37,26 +37,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let budget = thread_budget();
-    let threads = budget.min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let child_budget = (budget / threads).max(1);
-    let chunk = items.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || in_worker(child_budget, || c.iter().map(f).collect::<Vec<R>>()))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("parallel_map worker panicked"))
-            .collect()
-    })
+    let mut refs: Vec<&T> = items.iter().collect();
+    parallel_map_mut(&mut refs, |item| f(item))
 }
 
 /// Order-preserving parallel map over a mutable slice: each item is visited

@@ -730,7 +730,13 @@ impl MemorySnapshotStore {
 
 impl SnapshotStore for MemorySnapshotStore {
     fn save(&mut self, id: UserId, snapshot: &PipelineSnapshot) -> Result<(), PersistError> {
-        self.entries.insert(id.0, snapshot.to_bytes());
+        // Overwrite the user's previous bytes in place, so a stored
+        // snapshot never moves. Saves run on the tick's worker threads, and
+        // glibc's allocator gives each thread an arena of its own: a fresh
+        // buffer per save would land in the saving thread's arena while the
+        // old one went back to its own, spreading the store across arenas
+        // by a different amount in every run of an evicting fleet.
+        wire::encode_into(self.entries.entry(id.0).or_default(), snapshot);
         Ok(())
     }
 
@@ -1832,6 +1838,22 @@ mod tests {
         store.save(UserId(3), &snap).unwrap();
         assert_eq!(store.len(), 1);
         assert!(store.stored_bytes() > 0);
+        assert_eq!(store.load(UserId(3)).unwrap(), Some(snap.clone()));
+        // A save overwrites the previous bytes in place: a shorter snapshot
+        // saved over a longer one must leave none of the longer one behind.
+        let mut longer = snap.clone();
+        longer.retrain_mode = RetrainMode::Deferred;
+        longer.retrain_in_flight = Some(PersistedRetrain {
+            positives: [vec![vec![3.0, 4.0]], Vec::new()],
+            rng_state: [9, 8, 7, 6],
+            negative_epoch: None,
+            retrain_tails: [None, None],
+            day: 1.25,
+        });
+        store.save(UserId(3), &longer).unwrap();
+        assert_eq!(store.load(UserId(3)).unwrap(), Some(longer));
+        store.save(UserId(3), &snap).unwrap();
+        assert_eq!(store.stored_bytes(), snap.to_bytes().len());
         assert_eq!(store.load(UserId(3)).unwrap(), Some(snap));
         store.remove(UserId(3)).unwrap();
         assert!(store.is_empty());

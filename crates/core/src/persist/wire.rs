@@ -41,17 +41,24 @@ const TAG_OBJECT: u8 = 0x08;
 
 /// Encodes `value` behind [`MAGIC`].
 pub(super) fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    let mut writer = Writer(Vec::with_capacity(4096));
-    writer.0.extend_from_slice(&MAGIC);
-    value.serialize(&mut writer);
-    writer.0
+    let mut out = Vec::with_capacity(4096);
+    encode_into(&mut out, value);
+    out
+}
+
+/// Encodes `value` behind [`MAGIC`] over `out`'s contents, reusing its
+/// allocation.
+pub(super) fn encode_into<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) {
+    out.clear();
+    out.extend_from_slice(&MAGIC);
+    value.serialize(&mut Writer(out));
 }
 
 /// The encoding sink: each event's bytes, appended in order. Containers
 /// are length-prefixed, so closing one writes nothing.
-struct Writer(Vec<u8>);
+struct Writer<'a>(&'a mut Vec<u8>);
 
-impl Writer {
+impl Writer<'_> {
     fn varint(&mut self, mut n: u64) {
         while n >= 0x80 {
             self.0.push(n as u8 | 0x80);
@@ -71,7 +78,7 @@ impl Writer {
     }
 }
 
-impl Serializer for Writer {
+impl Serializer for Writer<'_> {
     fn null(&mut self) {
         self.0.push(TAG_NULL);
     }

@@ -250,20 +250,6 @@ impl SmarterYou {
         self
     }
 
-    /// Overrides the [`SystemEvent`] ring-buffer bound
-    /// ([`DEFAULT_EVENT_CAPACITY`] by default).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (the response logic reads the latest
-    /// event).
-    pub fn with_event_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "event capacity must be positive");
-        self.event_capacity = capacity;
-        self.truncate_events();
-        self
-    }
-
     /// Current lifecycle phase.
     pub fn phase(&self) -> SystemPhase {
         if self.authenticator.is_some() {
@@ -602,7 +588,8 @@ impl SmarterYou {
         Ok(restored)
     }
 
-    /// Feeds one captured window through the pipeline.
+    /// Feeds one captured window through the pipeline: the one-window case
+    /// of [`SmarterYou::process_batch`].
     ///
     /// During enrollment the window is buffered (and contributed,
     /// anonymized, to the training server's pool for *other* users' models).
@@ -616,41 +603,8 @@ impl SmarterYou {
         &mut self,
         window: &DualDeviceWindow,
     ) -> Result<ProcessOutcome, CoreError> {
-        // Route through the pipeline's own scratch. `take` swaps in an
-        // empty default (a few pointer moves) so the borrow of the scratch
-        // and of `self` don't overlap.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.process_window_with_scratch(window, &mut scratch);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`SmarterYou::process_window`] extracting through a caller-owned
-    /// scratch instead of the pipeline's own. A fleet engine ticking
-    /// thousands of pipelines passes one shared scratch so the FFT plan
-    /// tables and transform buffers stay cache-hot across users, instead of
-    /// touching a cold working set per pipeline. A scratch holds
-    /// only plans and buffers, never model state, so outcomes are
-    /// bit-identical whichever scratch is passed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training failures at the enrollment→auth transition.
-    pub fn process_window_with_scratch(
-        &mut self,
-        window: &DualDeviceWindow,
-        scratch: &mut FeatureScratch,
-    ) -> Result<ProcessOutcome, CoreError> {
-        let (context, features) = self.detect_and_extract(window, scratch);
-
-        match self.phase() {
-            SystemPhase::Enrollment => self.enroll_window(context, features),
-            SystemPhase::ContinuousAuth => {
-                let auth = self.authenticator.as_ref().expect("phase checked");
-                let decision = auth.authenticate(context, &features);
-                self.apply_decision(features, decision)
-            }
-        }
+        let mut outcomes = self.process_batch(std::slice::from_ref(window))?;
+        Ok(outcomes.pop().expect("one outcome per window"))
     }
 
     /// Feeds a whole slice of captured windows through the pipeline,
@@ -672,6 +626,9 @@ impl SmarterYou {
         &mut self,
         windows: &[DualDeviceWindow],
     ) -> Result<Vec<ProcessOutcome>, CoreError> {
+        // Route through the pipeline's own scratch. `take` swaps in an
+        // empty default (a few pointer moves) so the borrow of the scratch
+        // and of `self` don't overlap.
         let mut scratch = std::mem::take(&mut self.scratch);
         let out = self.process_batch_with_scratch(windows, &mut scratch);
         self.scratch = scratch;
@@ -679,9 +636,9 @@ impl SmarterYou {
     }
 
     /// [`SmarterYou::process_batch`] extracting through a caller-owned
-    /// scratch — the fleet-tick entry point (see
-    /// [`SmarterYou::process_window_with_scratch`] for the sharing
-    /// semantics).
+    /// scratch — the fleet-tick entry point. A scratch holds only plans and
+    /// buffers, never model state, so outcomes are bit-identical whichever
+    /// scratch is passed.
     ///
     /// # Errors
     ///
@@ -697,7 +654,8 @@ impl SmarterYou {
             if self.phase() == SystemPhase::Enrollment {
                 // Enrollment is inherently sequential (a window may finish
                 // enrollment and train the first models).
-                out.push(self.process_window_with_scratch(&windows[i], scratch)?);
+                let (context, features) = self.detect_and_extract(&windows[i], scratch);
+                out.push(self.enroll_window(context, features)?);
                 i += 1;
                 continue;
             }
@@ -797,8 +755,7 @@ impl SmarterYou {
     }
 
     /// Applies one already-scored authentication decision: response module,
-    /// retrain buffers, confidence tracker, events. Shared by the scalar
-    /// and batch paths so their state machines cannot diverge.
+    /// retrain buffers, confidence tracker, events.
     fn apply_decision(
         &mut self,
         features: Vec<f64>,

@@ -185,19 +185,6 @@ impl ConfidenceTracker {
         &self.history
     }
 
-    /// Mean confidence per integer day.
-    pub fn daily_means(&self) -> Vec<(u32, f64)> {
-        let mut sums: std::collections::BTreeMap<u32, (f64, usize)> = Default::default();
-        for &(day, cs) in &self.history {
-            let e = sums.entry(day.floor() as u32).or_insert((0.0, 0));
-            e.0 += cs;
-            e.1 += 1;
-        }
-        sums.into_iter()
-            .map(|(d, (sum, n))| (d, sum / n as f64))
-            .collect()
-    }
-
     /// Median confidence per integer day — the series plotted in Figure 7.
     /// (Median, not mean: the occasional bump/drop window produces an
     /// extreme score that would dominate a daily mean.)
@@ -288,10 +275,8 @@ mod tests {
         t.record(0.2, 1.0);
         t.record(0.8, 0.5);
         t.record(1.1, 0.3);
-        let means = t.daily_means();
-        assert_eq!(means.len(), 2);
-        assert!((means[0].1 - 0.75).abs() < 1e-12);
         let medians = t.daily_medians();
+        assert_eq!(medians.len(), 2);
         assert!((medians[0].1 - 0.75).abs() < 1e-12);
         assert!((medians[1].1 - 0.3).abs() < 1e-12);
         assert_eq!(t.history().len(), 3);

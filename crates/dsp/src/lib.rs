@@ -7,9 +7,8 @@
 //! lengths (mixed-radix Cooley–Tukey for lengths whose prime factors are
 //! all 2, 3 or 5 — the paper's 6 s × 50 Hz = 300-sample window is not a
 //! power of two, but 300 = 2²·3·5² — and a Bluestein chirp-z path for every
-//! other length), a real-input half-complex fast path, window functions,
-//! spectral-peak extraction, the 3-axis magnitude reduction, and simple
-//! filters/segmenters used by the sensor simulator.
+//! other length), a real-input half-complex fast path, spectral-peak
+//! extraction and the 3-axis magnitude reduction.
 //!
 //! Throughput-critical callers precompute an [`FftPlan`] / [`SpectrumPlan`]
 //! per window length and reuse [`FftScratch`] / [`SpectrumScratch`]
@@ -34,21 +33,15 @@
 
 mod complex;
 mod fft;
-mod filter;
 pub mod plan;
-mod segment;
 mod spectrum;
-mod window;
 
 pub use complex::Complex;
 pub use fft::{dft, dft_fallback_count, fft, ifft};
-pub use filter::{MovingAverage, SinglePoleLowPass};
 pub use plan::{
     BatchSpectrumScratch, FftPlan, FftScratch, RealFftPlan, SpectrumPlan, SpectrumScratch,
 };
-pub use segment::Segmenter;
 pub use spectrum::{magnitude_spectrum, spectral_peaks, SpectralPeaks};
-pub use window::WindowFunction;
 
 /// Magnitude of a 3-axis sample: `sqrt(x² + y² + z²)` (§V-C of the paper).
 pub fn axis_magnitude(x: f64, y: f64, z: f64) -> f64 {

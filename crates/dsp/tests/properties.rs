@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use smarteryou_dsp::{
-    dft, fft, ifft, magnitude_spectrum, Complex, FftPlan, FftScratch, Segmenter, SpectrumPlan,
-    SpectrumScratch, WindowFunction,
+    dft, fft, ifft, magnitude_spectrum, Complex, FftPlan, FftScratch, SpectrumPlan, SpectrumScratch,
 };
 
 fn real_buf(len: usize) -> impl Strategy<Value = Vec<Complex>> {
@@ -134,27 +133,5 @@ proptest! {
         for (l, r) in a.iter().zip(&b) {
             prop_assert!((l - r).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn window_coefficients_bounded(n in 2usize..64) {
-        for wf in [WindowFunction::Rectangular, WindowFunction::Hann, WindowFunction::Hamming] {
-            for c in wf.coefficients(n) {
-                prop_assert!((-1e-12..=1.0 + 1e-12).contains(&c));
-            }
-        }
-    }
-
-    #[test]
-    fn segmenter_count_is_consistent(
-        window in 1usize..50,
-        hop in 1usize..50,
-        n in 0usize..500,
-    ) {
-        let seg = Segmenter::new(window, hop).unwrap();
-        let data = vec![0.0; n];
-        prop_assert_eq!(seg.count(n), seg.windows(&data).count());
-        // Every produced window has the full length.
-        prop_assert!(seg.windows(&data).all(|w| w.len() == window));
     }
 }

@@ -147,11 +147,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics

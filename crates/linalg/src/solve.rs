@@ -271,52 +271,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Solves `A X = B` for every column of `B` with one stored
-    /// factorisation — the batch-refit primitive the ML crate's KRR cache
-    /// builds on. Each column gets exactly the arithmetic of
-    /// [`Cholesky::solve`], so results are bit-identical to column-wise
-    /// calls.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_many(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let mut out = b.clone();
-        self.solve_many_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Solves `A X = B` column-by-column in place: on entry `b` holds the
-    /// right-hand sides, on exit the solutions. The allocation-light
-    /// variant of [`Cholesky::solve_many`] (one scratch column, however
-    /// many right-hand sides) with identical per-column arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] if `b.rows() != self.dim()`; `b`
-    /// is untouched on error.
-    pub fn solve_many_into(&self, b: &mut Matrix) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky solve_many",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        let mut col = vec![0.0; n];
-        for c in 0..b.cols() {
-            for r in 0..n {
-                col[r] = b[(r, c)];
-            }
-            self.solve_into(&mut col)?;
-            for r in 0..n {
-                b[(r, c)] = col[r];
-            }
-        }
-        Ok(())
-    }
-
     /// Rank-1 **update**: rewrites the factor so it factors `A + v vᵀ`,
     /// in O(n²) instead of the O(n³) refactorisation. Uses the classic
     /// sequence of Givens-style plane rotations (one per pivot); an update
@@ -473,16 +427,12 @@ mod tests {
     fn solve_many_matches_columnwise_solve() {
         let a = spd3();
         let b = Matrix::from_rows(&[&[1.0, 0.5], &[-2.0, 1.5], &[0.5, -0.25]]).unwrap();
-        let ch = a.cholesky().unwrap();
         let lu = a.lu().unwrap();
-        let xs_ch = ch.solve_many(&b).unwrap();
         let xs_lu = lu.solve_many(&b).unwrap();
         for c in 0..2 {
             let col = b.col(c);
-            let x_ch = ch.solve(&col).unwrap();
             let x_lu = lu.solve(&col).unwrap();
             for r in 0..3 {
-                assert_eq!(xs_ch[(r, c)].to_bits(), x_ch[r].to_bits());
                 assert_eq!(xs_lu[(r, c)].to_bits(), x_lu[r].to_bits());
             }
         }
@@ -492,10 +442,6 @@ mod tests {
     fn solve_many_checks_shape() {
         let a = spd3();
         let b = Matrix::zeros(2, 2);
-        assert!(matches!(
-            a.cholesky().unwrap().solve_many(&b),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
         assert!(matches!(
             a.lu().unwrap().solve_many(&b),
             Err(LinalgError::DimensionMismatch { .. })

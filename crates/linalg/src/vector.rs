@@ -37,39 +37,6 @@ pub fn distance(a: &[f64], b: &[f64]) -> f64 {
     squared_distance(a, b).sqrt()
 }
 
-/// In-place `y += alpha * x`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Elementwise mean of a set of equal-length vectors; `None` when empty.
-pub fn mean_vector<'a, I>(vectors: I) -> Option<Vec<f64>>
-where
-    I: IntoIterator<Item = &'a [f64]>,
-{
-    let mut iter = vectors.into_iter();
-    let first = iter.next()?;
-    let mut acc = first.to_vec();
-    let mut count = 1usize;
-    for v in iter {
-        assert_eq!(v.len(), acc.len(), "mean_vector: length mismatch");
-        axpy(1.0, v, &mut acc);
-        count += 1;
-    }
-    let k = 1.0 / count as f64;
-    for a in &mut acc {
-        *a *= k;
-    }
-    Some(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,22 +51,6 @@ mod tests {
     fn distances() {
         assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert!((distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
-    }
-
-    #[test]
-    fn mean_vector_averages() {
-        let a = [1.0, 2.0];
-        let b = [3.0, 4.0];
-        let m = mean_vector([a.as_slice(), b.as_slice()]).unwrap();
-        assert_eq!(m, vec![2.0, 3.0]);
-        assert!(mean_vector(std::iter::empty::<&[f64]>()).is_none());
     }
 
     #[test]

@@ -204,45 +204,6 @@ impl Scaler {
     }
 }
 
-/// Random train/test split of `n` indices with the given test fraction.
-///
-/// # Panics
-///
-/// Panics if `test_fraction` is outside `(0, 1)`.
-pub fn train_test_split<R: Rng>(
-    n: usize,
-    test_fraction: f64,
-    rng: &mut R,
-) -> (Vec<usize>, Vec<usize>) {
-    assert!(
-        test_fraction > 0.0 && test_fraction < 1.0,
-        "test fraction must be in (0, 1)"
-    );
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    let n_test = ((n as f64) * test_fraction).round().max(1.0) as usize;
-    let n_test = n_test.min(n.saturating_sub(1)).max(1);
-    let test = idx[..n_test].to_vec();
-    let train = idx[n_test..].to_vec();
-    (train, test)
-}
-
-/// Partitions `0..n` into `k` disjoint folds of near-equal size, shuffled.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `k > n`.
-pub fn k_fold_indices<R: Rng>(n: usize, k: usize, rng: &mut R) -> Vec<Vec<usize>> {
-    assert!(k > 0 && k <= n, "need 0 < k <= n (k={k}, n={n})");
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    let mut folds = vec![Vec::with_capacity(n / k + 1); k];
-    for (i, v) in idx.into_iter().enumerate() {
-        folds[i % k].push(v);
-    }
-    folds
-}
-
 /// Stratified k-fold: both classes are spread evenly across folds so every
 /// fold contains positives and negatives (the paper's 10-fold CV with a
 /// 1-vs-34 class imbalance needs this to keep FRR defined in every fold).
@@ -318,26 +279,6 @@ mod tests {
         assert!((t[(1, 0)] - 1.0).abs() < 1e-12);
         // Zero-variance column maps to zero, not NaN.
         assert_eq!(t[(0, 1)], 0.0);
-    }
-
-    #[test]
-    fn train_test_split_partitions() {
-        let (train, test) = train_test_split(10, 0.3, &mut rng());
-        assert_eq!(train.len() + test.len(), 10);
-        let mut all: Vec<usize> = train.iter().chain(&test).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn k_fold_covers_all_indices() {
-        let folds = k_fold_indices(23, 5, &mut rng());
-        assert_eq!(folds.len(), 5);
-        let mut all: Vec<usize> = folds.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..23).collect::<Vec<_>>());
-        // Sizes are near-equal.
-        assert!(folds.iter().all(|f| (4..=5).contains(&f.len())));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The paper evaluates four binary classifiers for user authentication
 //! (Table VI) — **kernel ridge regression** (the system's choice, §V-F2),
 //! SVM, linear regression and naive Bayes — plus a **random forest** for
-//! user-agnostic context detection (§V-E) and k-NN as a related-work
-//! baseline (Nickel et al., Table I). All of them are implemented here with
-//! no external ML dependencies, along with datasets, z-score scaling,
+//! user-agnostic context detection (§V-E). All of them are implemented here
+//! with no external ML dependencies, along with datasets, z-score scaling,
 //! stratified k-fold cross-validation and evaluation helpers.
 //!
 //! The KRR implementation exposes both the **dual** form of Eq. 6
@@ -36,7 +35,6 @@ mod dataset;
 mod error;
 mod forest;
 mod kernel;
-mod knn;
 mod krr;
 mod linreg;
 mod metrics;
@@ -46,11 +44,10 @@ mod traits;
 mod tree;
 mod workspace;
 
-pub use dataset::{k_fold_indices, stratified_k_fold, train_test_split, Dataset, Scaler};
+pub use dataset::{stratified_k_fold, Dataset, Scaler};
 pub use error::MlError;
 pub use forest::{RandomForest, RandomForestModel};
 pub use kernel::Kernel;
-pub use knn::{Knn, KnnModel};
 pub use krr::{KernelRidge, KrrFitCache, KrrModel, KrrSolver};
 pub use linreg::{LinearRegression, LinearRegressionModel};
 pub use metrics::{cross_validate, evaluate_binary, CrossValidationReport};

@@ -7,19 +7,15 @@
 //! simulated user is a draw of biomechanical and habit parameters (gait
 //! cadence and shape, device pose, micro-gesture energy, tremor), and sensor
 //! windows are synthesized from those parameters plus session effects,
-//! environmental noise, behavioural drift and occasional outliers. See
-//! `DESIGN.md` for why each substitution preserves the behaviour the paper
-//! measures.
+//! environmental noise, behavioural drift and occasional outliers.
 //!
 //! Main entry points:
 //!
 //! * [`Population`] — generate the 35-participant study population
 //!   (Figure 2 demographics).
-//! * [`TraceGenerator`] / [`UsageSimulator`] — produce labelled
-//!   [`DualDeviceWindow`]s across sessions and days.
+//! * [`TraceGenerator`] — produce [`DualDeviceWindow`]s per context,
+//!   session and day.
 //! * [`MimicryAttacker`] — masquerading adversaries for the §V-G attack.
-//! * [`SecureChannel`] / [`BluetoothLink`] — the simulated transport of
-//!   §IV-C.
 //! * [`PowerModel`] — the battery accounting behind Table VIII.
 //!
 //! # Example
@@ -36,7 +32,6 @@
 
 mod attacker;
 mod battery;
-mod channel;
 mod context;
 mod demographics;
 mod drift;
@@ -44,12 +39,10 @@ mod generator;
 mod population;
 mod profile;
 pub(crate) mod rand_util;
-mod session;
 mod types;
 
 pub use attacker::MimicryAttacker;
 pub use battery::{PowerModel, PowerScenario};
-pub use channel::{decode_samples, encode_samples, BluetoothLink, ChannelError, SecureChannel};
 pub use context::{RawContext, UsageContext};
 pub use demographics::{
     assign_demographics, AgeBand, Demographics, Gender, AGE_COUNTS, GENDER_COUNTS,
@@ -58,5 +51,4 @@ pub use drift::{DriftState, DriftTarget};
 pub use generator::{GeneratorConfig, TraceGenerator, WindowSpec};
 pub use population::Population;
 pub use profile::{UserId, UserProfile, GRAVITY};
-pub use session::{LabeledWindow, UsageSchedule, UsageSimulator};
 pub use types::{DeviceKind, DualDeviceWindow, SensorKind, SensorWindow, SAMPLE_RATE_HZ};

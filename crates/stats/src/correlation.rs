@@ -42,41 +42,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     cov / (vx.sqrt() * vy.sqrt())
 }
 
-/// Spearman rank correlation: Pearson correlation of the rank transforms,
-/// with average ranks for ties.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn spearman(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "spearman: length mismatch");
-    let rx = ranks(x);
-    let ry = ranks(y);
-    pearson(&rx, &ry)
-}
-
-/// Average ranks (1-based), ties receive the mean of their rank span.
-fn ranks(data: &[f64]) -> Vec<f64> {
-    let n = data.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| data[a].total_cmp(&data[b]));
-    let mut out = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && data[order[j + 1]] == data[order[i]] {
-            j += 1;
-        }
-        // Average rank for the tie group spanning sorted positions i..=j.
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            out[idx] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,18 +75,5 @@ mod tests {
         let y: Vec<f64> = (0..50).map(|i| ((i * 17 % 7) as f64).cos()).collect();
         let r = pearson(&x, &y);
         assert!((-1.0..=1.0).contains(&r));
-    }
-
-    #[test]
-    fn spearman_detects_monotone_nonlinear() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v: &f64| v.exp()).collect();
-        assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_average_ties() {
-        let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 }

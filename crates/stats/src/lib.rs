@@ -9,7 +9,7 @@
 //! * **Pearson correlation** (§V-C/D, Tables III & IV) for dropping
 //!   redundant features and justifying the two-device design.
 //!
-//! Evaluation metrics (confusion matrices, FAR/FRR/accuracy/EER, box-plot
+//! Evaluation metrics (confusion matrices, FAR/FRR/accuracy, box-plot
 //! summaries for Figure 3) live here too, shared by the ML crate and the
 //! benchmark harness.
 
@@ -23,8 +23,8 @@ mod metrics;
 
 pub use boxplot::BoxStats;
 pub use confusion::ConfusionMatrix;
-pub use correlation::{pearson, spearman};
+pub use correlation::pearson;
 pub use descriptive::{max, mean, median, min, quantile, range, std_dev, variance, Summary};
 pub use fisher::fisher_score;
 pub use ks::{ks_statistic, ks_test, KsOutcome};
-pub use metrics::{equal_error_rate, BinaryOutcomes, RocPoint};
+pub use metrics::BinaryOutcomes;

@@ -102,60 +102,6 @@ impl BinaryOutcomes {
     }
 }
 
-/// One operating point on a ROC sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RocPoint {
-    /// Decision threshold producing this point.
-    pub threshold: f64,
-    /// False accept rate at this threshold.
-    pub far: f64,
-    /// False reject rate at this threshold.
-    pub frr: f64,
-}
-
-/// Sweeps a decision threshold over scored samples and returns the operating
-/// point closest to the equal error rate (FAR == FRR), along with the full
-/// ROC curve.
-///
-/// `scores` are classifier confidence values; `labels[i]` is `true` for the
-/// legitimate user. Samples with `score >= threshold` are accepted.
-///
-/// Returns `None` if either class is absent.
-pub fn equal_error_rate(scores: &[f64], labels: &[bool]) -> Option<(RocPoint, Vec<RocPoint>)> {
-    assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-    let positives = labels.iter().filter(|&&l| l).count();
-    let negatives = labels.len() - positives;
-    if positives == 0 || negatives == 0 {
-        return None;
-    }
-
-    let mut thresholds: Vec<f64> = scores.to_vec();
-    thresholds.sort_by(f64::total_cmp);
-    thresholds.dedup();
-
-    let mut curve = Vec::with_capacity(thresholds.len() + 1);
-    let mut best: Option<RocPoint> = None;
-    // Include a threshold above the max so the all-reject point is present.
-    let top = thresholds.last().copied().unwrap_or(0.0) + 1.0;
-    for &t in thresholds.iter().chain(std::iter::once(&top)) {
-        let mut o = BinaryOutcomes::default();
-        for (&s, &l) in scores.iter().zip(labels) {
-            o.record(l, s >= t);
-        }
-        let p = RocPoint {
-            threshold: t,
-            far: o.far(),
-            frr: o.frr(),
-        };
-        curve.push(p);
-        let gap = (p.far - p.frr).abs();
-        if best.is_none_or(|b| gap < (b.far - b.frr).abs()) {
-            best = Some(p);
-        }
-    }
-    best.map(|b| (b, curve))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,28 +136,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 2);
         assert_eq!(a.true_rejects, 1);
-    }
-
-    #[test]
-    fn eer_of_separable_scores_is_zero() {
-        let scores = [0.9, 0.8, 0.85, 0.1, 0.2, 0.15];
-        let labels = [true, true, true, false, false, false];
-        let (eer, curve) = equal_error_rate(&scores, &labels).unwrap();
-        assert!(eer.far < 1e-12 && eer.frr < 1e-12);
-        assert!(curve.len() >= scores.len());
-    }
-
-    #[test]
-    fn eer_of_random_scores_is_positive() {
-        let scores = [0.6, 0.4, 0.55, 0.45, 0.5, 0.52];
-        let labels = [true, true, false, false, true, false];
-        let (eer, _) = equal_error_rate(&scores, &labels).unwrap();
-        assert!(eer.far > 0.0 || eer.frr > 0.0);
-    }
-
-    #[test]
-    fn eer_requires_both_classes() {
-        assert!(equal_error_rate(&[0.5, 0.7], &[true, true]).is_none());
-        assert!(equal_error_rate(&[0.5, 0.7], &[false, false]).is_none());
     }
 }

@@ -10,7 +10,7 @@
 //! * [`sensors`] — the synthetic smartphone/smartwatch sensor substrate.
 //! * [`ml`] — from-scratch classifiers (KRR, SVM, naive Bayes, random
 //!   forest, …) and cross-validation.
-//! * [`dsp`] — FFT/DFT, spectral peaks, windowing.
+//! * [`dsp`] — FFT/DFT, spectral peaks, magnitude series.
 //! * [`stats`] — KS test, Fisher score, correlation, FAR/FRR metrics.
 //! * [`linalg`] — dense matrices and solvers.
 //!

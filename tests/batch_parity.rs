@@ -1,15 +1,17 @@
 //! Parity tests for the batched scoring paths: `SmarterYou::process_batch`
 //! and the `FleetEngine` must produce **bit-identical** decisions to the
-//! sequential `process_window` loop on the same seeded population. This is
-//! the contract that lets the fleet engine replace the one-window-at-a-time
-//! hot path without changing any authentication outcome.
+//! sequential `process_window` loop on the same seeded population, and the
+//! grouped scorer behind both must match the scalar
+//! `Authenticator::authenticate` on trained models. This is the contract
+//! that lets the fleet engine replace the one-window-at-a-time hot path
+//! without changing any authentication outcome.
 
 mod common;
 
 use common::{assert_outcomes_identical, build_world as build_common_world, World, WorldSeeds};
 use smarteryou::core::engine::FleetEngine;
 use smarteryou::core::{ProcessOutcome, ResponsePolicy, SmarterYou};
-use smarteryou::sensors::{DualDeviceWindow, UserId};
+use smarteryou::sensors::{DualDeviceWindow, UsageContext, UserId};
 
 fn build_world(num_users: usize) -> World {
     build_world_with_window(num_users, 2.0)
@@ -80,6 +82,56 @@ fn process_batch_matches_sequential_at_paper_window() {
 
     assert_outcomes_identical(&seq_outcomes, &batch_outcomes, "paper window");
     assert_eq!(sequential.events(), batched.events(), "paper window events");
+}
+
+#[test]
+fn scalar_and_grouped_scoring_agree_on_trained_models() {
+    // `process_window` is the one-window case of `process_batch`, so the
+    // pipeline scores only through `authenticate_grouped`; pin the scalar
+    // scorer to it on enrolled models at the paper window, over the
+    // owner's and another user's windows in both contexts.
+    let world = build_world_with_window(2, 6.0);
+    let mut owner = pipeline(&world, 47);
+    for w in world.window_stream(&world.users[0], 5_200, 0) {
+        owner.process_window(&w).expect("enrollment");
+    }
+    let auth = owner.authenticator().expect("enrollment completes");
+    let extractor = world.detector.extractor();
+    let items: Vec<(UsageContext, Vec<f64>)> = world
+        .users
+        .iter()
+        .enumerate()
+        .flat_map(|(u, user)| world.window_stream(user, 5_300 + u as u64, 24))
+        .map(|w| {
+            let features = extractor.auth_features(&w, world.cfg.device_set());
+            (world.detector.detect(&w), features)
+        })
+        .collect();
+
+    let grouped = auth.authenticate_grouped(&items);
+    assert_eq!(grouped.len(), items.len());
+    for (i, ((context, features), g)) in items.iter().zip(&grouped).enumerate() {
+        let scalar = auth.authenticate(*context, features);
+        assert_eq!(
+            scalar.confidence.to_bits(),
+            g.confidence.to_bits(),
+            "window {i}: confidence diverges ({} vs {})",
+            scalar.confidence,
+            g.confidence
+        );
+        assert_eq!(scalar.accepted, g.accepted, "window {i}: verdict");
+        assert_eq!(scalar.context, g.context, "window {i}: context");
+    }
+    // Neither side of the comparison is vacuous: both contexts and both
+    // verdicts occur.
+    for context in UsageContext::ALL {
+        assert!(
+            items.iter().any(|(c, _)| *c == context),
+            "{context:?} unseen"
+        );
+    }
+    assert!(grouped.iter().any(|d| d.accepted), "no acceptance");
+    assert!(grouped.iter().any(|d| !d.accepted), "no rejection");
 }
 
 #[test]
