@@ -1,6 +1,5 @@
 use serde::{Deserialize, Serialize};
 
-use smarteryou_linalg::Matrix;
 use smarteryou_ml::{BinaryClassifier, KrrModel, Scaler};
 use smarteryou_sensors::UsageContext;
 
@@ -52,18 +51,6 @@ impl AuthModel {
     /// Panics if the feature width differs from the training width.
     pub fn confidence(&self, features: &[f64]) -> f64 {
         self.krr.decision(&self.scaler.transform_vec(features))
-    }
-
-    /// Confidence scores for every row of a raw feature matrix in one pass:
-    /// the matrix is scaled once and scored through
-    /// [`KrrModel::decision_batch`]. Scores are bit-identical to calling
-    /// [`AuthModel::confidence`] row by row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.cols()` differs from the training width.
-    pub fn confidence_batch(&self, features: &Matrix) -> Vec<f64> {
-        self.krr.decision_batch(&self.scaler.transform(features))
     }
 
     /// Number of raw features expected.
@@ -201,54 +188,17 @@ impl Authenticator {
         }
     }
 
-    /// Authenticates every row of a feature matrix captured under one
-    /// context, scaling and scoring the whole matrix in a single pass.
-    /// Decisions are bit-identical to per-row [`Authenticator::authenticate`]
-    /// calls.
+    /// Authenticates a mixed-context window batch: each row is scored by
+    /// its context's model through [`Authenticator::authenticate`], and
+    /// the decisions come back in input order.
     ///
     /// # Panics
     ///
-    /// Panics if `features.cols()` differs from the training width.
-    pub fn authenticate_batch(
-        &self,
-        context: UsageContext,
-        features: &Matrix,
-    ) -> Vec<AuthDecision> {
-        self.model_for(context)
-            .confidence_batch(features)
-            .into_iter()
-            .map(|confidence| AuthDecision {
-                accepted: confidence >= self.threshold,
-                confidence,
-                context,
-            })
-            .collect()
-    }
-
-    /// Authenticates a mixed-context window batch: rows are regrouped by
-    /// detected context so each per-context model scores its group as one
-    /// matrix, and the decisions come back in input order. This is the
-    /// fleet engine's scoring primitive.
+    /// Panics if a row's width differs from the training width.
     pub fn authenticate_grouped(&self, items: &[(UsageContext, Vec<f64>)]) -> Vec<AuthDecision> {
-        let mut out: Vec<Option<AuthDecision>> = vec![None; items.len()];
-        for ctx in UsageContext::ALL {
-            let indices: Vec<usize> = items
-                .iter()
-                .enumerate()
-                .filter(|(_, (c, _))| *c == ctx)
-                .map(|(i, _)| i)
-                .collect();
-            if indices.is_empty() {
-                continue;
-            }
-            let rows: Vec<&[f64]> = indices.iter().map(|&i| items[i].1.as_slice()).collect();
-            let matrix = Matrix::from_rows(&rows).expect("uniform feature width");
-            for (&i, decision) in indices.iter().zip(self.authenticate_batch(ctx, &matrix)) {
-                out[i] = Some(decision);
-            }
-        }
-        out.into_iter()
-            .map(|d| d.expect("every context grouped"))
+        items
+            .iter()
+            .map(|(context, features)| self.authenticate(*context, features))
             .collect()
     }
 }
@@ -323,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_paths_match_scalar_paths_bit_exactly() {
+    fn grouped_decisions_match_scalar_decisions_in_input_order() {
         let auth = Authenticator::per_context(vec![model(1.0), model(2.0)], 0.1).unwrap();
         let probes = [
             vec![1.0, 1.0],
@@ -331,18 +281,6 @@ mod tests {
             vec![2.0, -2.0],
             vec![0.0, 0.0],
         ];
-        let matrix = Matrix::from_rows(&probes).unwrap();
-        for ctx in UsageContext::ALL {
-            let batch = auth.authenticate_batch(ctx, &matrix);
-            for (row, d) in probes.iter().zip(&batch) {
-                let scalar = auth.authenticate(ctx, row);
-                assert_eq!(d.confidence.to_bits(), scalar.confidence.to_bits());
-                assert_eq!(d.accepted, scalar.accepted);
-                assert_eq!(d.context, scalar.context);
-            }
-        }
-
-        // Mixed-context grouping preserves input order and per-row results.
         let items: Vec<(UsageContext, Vec<f64>)> = probes
             .iter()
             .enumerate()

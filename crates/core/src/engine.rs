@@ -6,18 +6,18 @@
 //! owns one [`SmarterYou`] pipeline per registered user, accepts a batch of
 //! `(UserId, DualDeviceWindow)` pairs per tick, and advances every affected
 //! pipeline concurrently with the order-preserving scoped-thread map from
-//! [`crate::parallel`]. Within each pipeline, pending windows are scored as
-//! grouped per-context matrix passes ([`SmarterYou::process_batch`]) rather
-//! than per-row kernel evaluations, and feature extraction runs through the
-//! cached [`WindowFeatures`](crate::WindowFeatures) path. Each tick thread
-//! keeps one [`FeatureScratch`](crate::FeatureScratch) (FFT plan tables and
-//! batch buffers) in a `thread_local` and extracts every pipeline it scores
-//! through it, so those pipelines share a hot workspace instead of each
-//! using a cold one of its own. [`parallel_map_mut`] spawns scoped worker
-//! threads on every call, so on a multi-core host a worker's scratch, its
-//! spectrum plan included, lives for one tick, and every tick plans the
-//! window length once per worker; only a sequential tick keeps its scratch
-//! across ticks.
+//! [`crate::parallel`]. Within each pipeline, pending windows run in one
+//! pass ([`SmarterYou::process_batch`]): each window is scored by its
+//! context's model, as current at that window, and feature extraction runs
+//! through the cached [`WindowFeatures`](crate::WindowFeatures) path. Each
+//! tick thread keeps one [`FeatureScratch`](crate::FeatureScratch) (FFT
+//! plan tables and batch buffers) in a `thread_local` and extracts every
+//! pipeline it scores through it, so those pipelines share a hot workspace
+//! instead of each using a cold one of its own. [`parallel_map_mut`]
+//! spawns scoped worker threads on every call, so on a multi-core host a
+//! worker's scratch, its spectrum plan included, lives for one tick, and
+//! every tick plans the window length once per worker; only a sequential
+//! tick keeps its scratch across ticks.
 //!
 //! Decisions are **bit-identical** to feeding the same windows through
 //! sequential [`SmarterYou::process_window`] calls user by user: per-user

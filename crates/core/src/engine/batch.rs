@@ -1,9 +1,9 @@
 //! Tick result types and aggregation helpers for the fleet engine.
 //!
 //! The counters a [`TickReport`] aggregates are produced by the planned
-//! batch scoring path — cached per-window feature extraction
-//! ([`crate::WindowFeatures`]) followed by grouped per-context matrix
-//! scoring — and are bit-identical to what sequential
+//! batch path — cached per-window feature extraction
+//! ([`crate::WindowFeatures`]), then each window scored by its context's
+//! model — and are bit-identical to what sequential
 //! [`SmarterYou::process_window`](crate::SmarterYou::process_window) calls
 //! would report (see `tests/batch_parity.rs`).
 

@@ -534,7 +534,8 @@ impl SmarterYou {
     ///
     /// [`CoreError::Persist`] when the snapshot fails
     /// [`PipelineSnapshot::validate`], and [`CoreError::InvalidConfig`]
-    /// when its captured configuration is out of range.
+    /// when its captured configuration is out of range or its
+    /// authenticator cannot score the features that configuration extracts.
     pub fn restore(
         snapshot: PipelineSnapshot,
         server: Arc<dyn TrainingHandle>,
@@ -542,6 +543,10 @@ impl SmarterYou {
         snapshot.validate()?;
         snapshot.cfg.validate()?;
         let extractor = FeatureExtractor::paper_default(snapshot.cfg.sample_rate());
+        let width = extractor.auth_vector_len(snapshot.cfg.device_set());
+        if let Some(auth) = &snapshot.authenticator {
+            check_width("snapshot authenticator", auth.num_features(), width)?;
+        }
         let shared_extractor = *snapshot.detector.extractor() == extractor;
         let mut scratch = FeatureScratch::default();
         if let Some(spec) = snapshot.planned_window {
@@ -611,13 +616,10 @@ impl SmarterYou {
     /// producing exactly the outcomes sequential [`SmarterYou::process_window`]
     /// calls would (the batch-parity tests assert bit-equality).
     ///
-    /// During continuous authentication the remaining windows are scored as
-    /// one grouped matrix pass per context
-    /// ([`Authenticator::authenticate_grouped`]) instead of per-row kernel
-    /// evaluations; state transitions (response module, confidence tracker,
-    /// retrain buffers) then replay in order. A mid-batch retrain or an
-    /// enrollment→auth transition invalidates the scores of later windows,
-    /// so scoring restarts from the first window after the model change.
+    /// One pass, window by window: each window is scored by its context's
+    /// model ([`Authenticator::authenticate`]) as current at that window, so
+    /// an inline retrain or the enrollment→auth transition inside the batch
+    /// takes effect from the next window on.
     ///
     /// # Errors
     ///
@@ -649,56 +651,17 @@ impl SmarterYou {
         scratch: &mut FeatureScratch,
     ) -> Result<Vec<ProcessOutcome>, CoreError> {
         let mut out = Vec::with_capacity(windows.len());
-        let mut i = 0;
-        while i < windows.len() {
-            if self.phase() == SystemPhase::Enrollment {
-                // Enrollment is inherently sequential (a window may finish
-                // enrollment and train the first models).
-                let (context, features) = self.detect_and_extract(&windows[i], scratch);
-                out.push(self.enroll_window(context, features)?);
-                i += 1;
-                continue;
-            }
-            // Detect + extract every remaining window once: contexts and
-            // features are model-independent, so a mid-batch retrain only
-            // invalidates the *scores*, not this work.
-            let mut prepared: Vec<(UsageContext, Vec<f64>)> = windows[i..]
-                .iter()
-                .map(|w| self.detect_and_extract(w, scratch))
-                .collect();
-            let mut start = 0;
-            while start < prepared.len() {
-                // Batch-score everything not yet consumed under the current
-                // models, then replay the state transitions in order.
-                let decisions = self
-                    .authenticator
-                    .as_ref()
-                    .expect("phase checked")
-                    .authenticate_grouped(&prepared[start..]);
-                for decision in decisions {
-                    let features = std::mem::take(&mut prepared[start].1);
-                    let outcome = self.apply_decision(features, decision)?;
-                    start += 1;
-                    i += 1;
-                    let retrained = matches!(
-                        outcome,
-                        ProcessOutcome::Decision {
-                            retrained: true,
-                            ..
-                        }
-                    );
-                    out.push(outcome);
-                    if retrained && self.retrain_mode == RetrainMode::Inline {
-                        // Model swapped: the remaining prepared windows are
-                        // re-scored by the new model, exactly as sequential
-                        // processing would score them. (A deferred trigger
-                        // swaps nothing mid-batch — the old model keeps
-                        // scoring until the engine applies the replacement
-                        // at a tick boundary.)
-                        break;
-                    }
+        for window in windows {
+            let (context, features) = self.detect_and_extract(window, scratch);
+            let outcome = match &self.authenticator {
+                // A window may finish enrollment and train the first models.
+                None => self.enroll_window(context, features)?,
+                Some(auth) => {
+                    let decision = auth.authenticate(context, &features);
+                    self.apply_decision(features, decision)?
                 }
-            }
+            };
+            out.push(outcome);
         }
         Ok(out)
     }
@@ -856,9 +819,10 @@ impl SmarterYou {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] if the pipeline is already enrolled;
-    /// training failures are propagated with the pipeline left in the
-    /// enrollment phase.
+    /// [`CoreError::InvalidConfig`] if the pipeline is already enrolled or
+    /// a buffered row is not as wide as the features the pipeline
+    /// extracts; training failures are propagated. An enrolling pipeline
+    /// stays in the enrollment phase on any error.
     pub fn enroll_with(
         &mut self,
         ws: &EnrollmentWorkspace,
@@ -868,6 +832,10 @@ impl SmarterYou {
             return Err(CoreError::InvalidConfig(
                 "enroll_with called on an already-enrolled pipeline".into(),
             ));
+        }
+        let width = self.extractor.auth_vector_len(self.cfg.device_set());
+        for row in buffers.iter().flatten() {
+            check_width("enrollment row", row.len(), width)?;
         }
         // A cold retrain whose tail states are dropped: keeping them would
         // put `retrain_tails` into the snapshot of every user who never
@@ -908,6 +876,18 @@ impl SmarterYou {
         self.tracker.mark_retrained();
         Ok(())
     }
+}
+
+/// A model or row enters the pipeline only if it is as wide as the
+/// features the pipeline extracts; otherwise the first scored window would
+/// panic in a width assert.
+fn check_width(what: &str, got: usize, expected: usize) -> Result<(), CoreError> {
+    if got == expected {
+        return Ok(());
+    }
+    Err(CoreError::InvalidConfig(format!(
+        "{what} is {got} features wide; this configuration extracts {expected}"
+    )))
 }
 
 #[cfg(test)]

@@ -63,17 +63,7 @@ impl Kernel {
 
     /// Kernel vector `[k(x₁, q), …, k(xₙ, q)]` against the rows of `x`.
     pub fn against(&self, x: &Matrix, q: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(x.rows());
-        self.against_into(x, q, &mut out);
-        out
-    }
-
-    /// [`Kernel::against`] into a caller-owned buffer (cleared first), so
-    /// batch scoring can reuse one allocation across many queries. Same
-    /// per-entry arithmetic, so results are bit-identical.
-    pub fn against_into(&self, x: &Matrix, q: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..x.rows()).map(|i| self.eval(x.row(i), q)));
+        x.iter_rows().map(|row| self.eval(row, q)).collect()
     }
 }
 

@@ -426,94 +426,41 @@ impl KrrModel {
     pub fn rho(&self) -> f64 {
         self.rho
     }
-
-    /// Decision scores for every row of `x` in one pass.
-    ///
-    /// For linear models this centres the whole matrix once and runs a
-    /// single matrix–vector product instead of per-row kernel evaluations;
-    /// for kernelized models the kernel row against the training set is
-    /// evaluated per query with the centred matrix shared. Scores are
-    /// bit-identical to calling [`BinaryClassifier::decision`] row by row
-    /// (the engine's batch-vs-sequential parity tests rely on this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols()` differs from the training feature width.
-    pub fn decision_batch(&self, x: &Matrix) -> Vec<f64> {
-        assert_eq!(
-            x.cols(),
-            self.x_mean.len(),
-            "decision_batch: feature width mismatch"
-        );
-        // Centre all rows once (shared by both model kinds).
-        let mut xc = x.clone();
-        for r in 0..xc.rows() {
-            let row = xc.row_mut(r);
-            for (v, mu) in row.iter_mut().zip(&self.x_mean) {
-                *v -= mu;
-            }
-        }
-        match &self.kind {
-            KrrKind::Linear { w } => {
-                // xc · w uses the same elementwise order as the per-row dot
-                // product, so scores match the scalar path bit for bit.
-                let mut scores = xc.matvec(w).expect("width checked");
-                for s in &mut scores {
-                    *s += self.y_mean;
-                }
-                scores
-            }
-            KrrKind::Kernelized {
-                kernel,
-                train,
-                alphas,
-            } => {
-                // One kernel-row buffer reused across queries
-                // ([`Kernel::against_into`]); per-entry arithmetic matches
-                // the scalar path, so scores stay bit-identical.
-                let mut k = Vec::with_capacity(train.rows());
-                xc.iter_rows()
-                    .map(|q| {
-                        kernel.against_into(train, q, &mut k);
-                        vector::dot(&k, alphas) + self.y_mean
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Hard accept/reject decisions for every row of `x`, at the zero
-    /// threshold (batch counterpart of [`BinaryClassifier::predict`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols()` differs from the training feature width.
-    pub fn predict_batch(&self, x: &Matrix) -> Vec<bool> {
-        self.decision_batch(x)
-            .into_iter()
-            .map(|s| s >= 0.0)
-            .collect()
-    }
 }
 
 impl BinaryClassifier for KrrModel {
+    /// # Panics
+    ///
+    /// Panics if `x` differs in width from the training features.
     fn decision(&self, x: &[f64]) -> f64 {
-        let xc: Vec<f64> = x.iter().zip(&self.x_mean).map(|(&v, &mu)| v - mu).collect();
+        assert_eq!(
+            x.len(),
+            self.x_mean.len(),
+            "decision: feature width mismatch"
+        );
         match &self.kind {
-            KrrKind::Linear { w } => vector::dot(w, &xc) + self.y_mean,
+            // Centre and dot in one pass: the products are summed left to
+            // right, exactly as `vector::dot` sums a centred copy, so the
+            // score keeps its bits without the copy.
+            KrrKind::Linear { w } => {
+                let dot: f64 = w
+                    .iter()
+                    .zip(x)
+                    .zip(&self.x_mean)
+                    .map(|((w, &v), &mu)| w * (v - mu))
+                    .sum();
+                dot + self.y_mean
+            }
             KrrKind::Kernelized {
                 kernel,
                 train,
                 alphas,
             } => {
+                let xc: Vec<f64> = x.iter().zip(&self.x_mean).map(|(&v, &mu)| v - mu).collect();
                 let k = kernel.against(train, &xc);
                 vector::dot(&k, alphas) + self.y_mean
             }
         }
-    }
-
-    fn decision_batch(&self, x: &Matrix) -> Vec<f64> {
-        KrrModel::decision_batch(self, x)
     }
 
     fn num_features(&self) -> usize {
@@ -629,36 +576,43 @@ mod tests {
         assert!(model.decision(&[0.0, 0.0]) < 0.0);
     }
 
+    /// The linear score centres and dots in one pass, and must keep the
+    /// bits of `vector::dot` over a centred copy. The design has five
+    /// features and a nonzero mean: with two, a sum taken in another order
+    /// can still round to the same bits.
     #[test]
-    fn decision_batch_is_bit_identical_to_scalar_path() {
-        let (x, y) = toy();
-        // Linear model via both solvers, plus a kernelized model.
-        let models = [
-            KernelRidge::new(0.3)
-                .with_solver(KrrSolver::Primal)
+    fn linear_decision_is_bit_identical_to_dot_over_centred_copy() {
+        let feature = |i: usize| {
+            let t = i as f64;
+            let s = if i.is_multiple_of(2) { 1.0 } else { -1.0 };
+            vec![
+                3.0 + 0.7 * s + 0.01 * t,
+                -1.5 + 0.3 * t,
+                10.0 + 2.1 * s,
+                0.25 * t * t,
+                5.0 - 0.9 * s * t,
+            ]
+        };
+        let x = Matrix::from_rows(&(0..12).map(feature).collect::<Vec<_>>()).unwrap();
+        let y: Vec<f64> = (0..12)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        for solver in [KrrSolver::Primal, KrrSolver::Dual] {
+            let model = KernelRidge::new(0.3)
+                .with_solver(solver)
                 .fit(&x, &y)
-                .unwrap(),
-            KernelRidge::new(0.3)
-                .with_solver(KrrSolver::Dual)
-                .fit(&x, &y)
-                .unwrap(),
-            KernelRidge::new(0.3)
-                .with_kernel(Kernel::Rbf { gamma: 1.5 })
-                .fit(&x, &y)
-                .unwrap(),
-        ];
-        let probes =
-            Matrix::from_rows(&[&[0.1, 0.9], &[1.0, 0.0], &[-0.3, 1.2], &[0.5, 0.5]]).unwrap();
-        for model in &models {
-            let batch = model.decision_batch(&probes);
-            assert_eq!(batch.len(), probes.rows());
-            for (r, &score) in batch.iter().enumerate() {
-                let scalar = model.decision(probes.row(r));
-                assert_eq!(score.to_bits(), scalar.to_bits(), "row {r} diverges");
-            }
-            let preds = model.predict_batch(&probes);
-            for (r, &p) in preds.iter().enumerate() {
-                assert_eq!(p, model.predict(probes.row(r)));
+                .unwrap();
+            assert!(model.x_mean.iter().all(|&mu| mu != 0.0));
+            let w = model.weights().unwrap();
+            for q in (0..9).map(|i| feature(3 * i + 1)) {
+                let centred: Vec<f64> = q.iter().zip(&model.x_mean).map(|(v, mu)| v - mu).collect();
+                let reference = vector::dot(w, &centred) + model.y_mean;
+                assert_eq!(
+                    model.decision(&q).to_bits(),
+                    reference.to_bits(),
+                    "{solver:?}: {} vs {reference}",
+                    model.decision(&q)
+                );
             }
         }
     }

@@ -6,7 +6,9 @@ use crate::MlError;
 ///
 /// The positive class (+1) is the legitimate user throughout the workspace.
 /// `decision` returns a real-valued score; the paper's *confidence score*
-/// `CS(k) = xₖᵀ w*` (§V-I) is exactly this value for the KRR model.
+/// `CS(k) = xₖᵀ w*` (§V-I) is exactly this value for the KRR model. There
+/// is no batch form: the pipeline scores each window by one `decision`
+/// call on the model of its context.
 pub trait BinaryClassifier: Send + Sync {
     /// Real-valued decision score; positive means "legitimate user".
     fn decision(&self, x: &[f64]) -> f64;
@@ -14,15 +16,6 @@ pub trait BinaryClassifier: Send + Sync {
     /// Hard accept/reject decision at the zero threshold.
     fn predict(&self, x: &[f64]) -> bool {
         self.decision(x) >= 0.0
-    }
-
-    /// Decision scores for every row of `x`.
-    ///
-    /// The default maps [`BinaryClassifier::decision`] over the rows;
-    /// models with a cheaper matrix-level path (KRR) override it. Batch
-    /// scores must equal the row-wise scores exactly.
-    fn decision_batch(&self, x: &Matrix) -> Vec<f64> {
-        x.iter_rows().map(|row| self.decision(row)).collect()
     }
 
     /// Number of features the model expects.
@@ -53,10 +46,6 @@ impl BinaryClassifier for Box<dyn BinaryClassifier> {
 
     fn predict(&self, x: &[f64]) -> bool {
         (**self).predict(x)
-    }
-
-    fn decision_batch(&self, x: &Matrix) -> Vec<f64> {
-        (**self).decision_batch(x)
     }
 
     fn num_features(&self) -> usize {

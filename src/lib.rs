@@ -25,9 +25,9 @@
 //! [`SmarterYou::process_window`](core::SmarterYou::process_window) per
 //! window. [`FleetEngine`](core::engine::FleetEngine) owns one pipeline per
 //! registered user, takes a `(UserId, DualDeviceWindow)` batch per tick,
-//! groups each user's windows by detected context and scores them as matrix
-//! passes, advancing all users in parallel — with decisions bit-identical
-//! to the sequential loop (see `tests/batch_parity.rs`):
+//! scores each user's windows in order, each by the model of its detected
+//! context, and advances all users in parallel — with decisions
+//! bit-identical to the sequential loop (see `tests/batch_parity.rs`):
 //!
 //! ```no_run
 //! use smarteryou::core::engine::FleetEngine;

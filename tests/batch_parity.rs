@@ -1,7 +1,9 @@
-//! Parity tests for the batched scoring paths: `SmarterYou::process_batch`
-//! and the `FleetEngine` must produce **bit-identical** decisions to the
-//! sequential `process_window` loop on the same seeded population, and the
-//! grouped scorer behind both must match the scalar
+//! Parity tests for the batched paths: `SmarterYou::process_batch` and the
+//! `FleetEngine` score each window by its context's model, as current at
+//! that window, and must produce **bit-identical** decisions to the
+//! sequential `process_window` loop on the same seeded population,
+//! including across inline retrains inside one batch; and
+//! `Authenticator::authenticate_grouped` must match per-row
 //! `Authenticator::authenticate` on trained models. This is the contract
 //! that lets the fleet engine replace the one-window-at-a-time hot path
 //! without changing any authentication outcome.
@@ -10,7 +12,7 @@ mod common;
 
 use common::{assert_outcomes_identical, build_world as build_common_world, World, WorldSeeds};
 use smarteryou::core::engine::FleetEngine;
-use smarteryou::core::{ProcessOutcome, ResponsePolicy, SmarterYou};
+use smarteryou::core::{ProcessOutcome, ResponsePolicy, RetrainPolicy, SmarterYou};
 use smarteryou::sensors::{DualDeviceWindow, UsageContext, UserId};
 
 fn build_world(num_users: usize) -> World {
@@ -84,12 +86,75 @@ fn process_batch_matches_sequential_at_paper_window() {
     assert_eq!(sequential.events(), batched.events(), "paper window events");
 }
 
+/// A batch that starts after enrollment and crosses inline retrains: each
+/// window must be scored by the model current at that window, as
+/// sequential `process_window` calls score it, not by the model the batch
+/// started with.
+#[test]
+fn process_batch_crosses_inline_retrains_like_sequential_processing() {
+    let world = build_world(2);
+    // An eager inline policy: a retrain every third accepted window.
+    let policy = RetrainPolicy {
+        threshold: 1e9,
+        period: 3,
+        max_reject_fraction: 1.0,
+    };
+    let eager =
+        |seed| world.pipeline_with(seed, ResponsePolicy { rejects_to_lock: 3 }, Some(policy));
+    for (u, user) in world.users.iter().enumerate() {
+        let windows = world.window_stream(user, 3_700 + u as u64, 24);
+        let mut sequential = eager(u as u64 + 21);
+        let mut batched = eager(u as u64 + 21);
+
+        // Both enroll window by window, so the batch starts with a model.
+        let mut split = 0;
+        while batched.authenticator().is_none() {
+            sequential
+                .process_window(&windows[split])
+                .expect("enrollment");
+            batched.process_window(&windows[split]).expect("enrollment");
+            split += 1;
+        }
+        let rest = &windows[split..];
+        let seq_outcomes: Vec<ProcessOutcome> = rest
+            .iter()
+            .map(|w| sequential.process_window(w).expect("sequential"))
+            .collect();
+        let batch_outcomes = batched.process_batch(rest).expect("batched");
+
+        let label = format!("user {u}");
+        assert_outcomes_identical(&seq_outcomes, &batch_outcomes, &label);
+        assert_eq!(sequential.events(), batched.events(), "{label} events");
+        assert_eq!(
+            sequential.confidence_tracker().history(),
+            batched.confidence_tracker().history(),
+            "{label} tracker history"
+        );
+        let retrains = batch_outcomes
+            .iter()
+            .filter(|o| {
+                matches!(
+                    o,
+                    ProcessOutcome::Decision {
+                        retrained: true,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert!(
+            retrains >= 2,
+            "{label}: {retrains} retrains inside the batch"
+        );
+    }
+}
+
 #[test]
 fn scalar_and_grouped_scoring_agree_on_trained_models() {
-    // `process_window` is the one-window case of `process_batch`, so the
-    // pipeline scores only through `authenticate_grouped`; pin the scalar
-    // scorer to it on enrolled models at the paper window, over the
-    // owner's and another user's windows in both contexts.
+    // The pipeline scores every window through `authenticate`, and
+    // fleetbench's traced replay times `authenticate_grouped`; pin the two
+    // equal on enrolled models at the paper window, over the owner's and
+    // another user's windows in both contexts.
     let world = build_world_with_window(2, 6.0);
     let mut owner = pipeline(&world, 47);
     for w in world.window_stream(&world.users[0], 5_200, 0) {

@@ -32,11 +32,12 @@ use serde::Value;
 use smarteryou::core::engine::ShardedFleet;
 use smarteryou::core::persist::MemorySnapshotStore;
 use smarteryou::core::{
-    Authenticator, CoreError, EnrollmentWorkspace, FleetEngine, NegativeEpoch, ResponsePolicy,
-    RetrainWorkspaceCache, SmarterYou, SystemConfig, SystemEvent, SystemPhase, TrainingHandle,
+    Authenticator, CoreError, DeviceSet, EnrollmentWorkspace, FleetEngine, NegativeEpoch,
+    ResponsePolicy, RetrainWorkspaceCache, SmarterYou, SystemConfig, SystemEvent, SystemPhase,
+    TrainingHandle, TrainingServer,
 };
 use smarteryou::ml::{KrrFitCache, KrrTailState};
-use smarteryou::sensors::{UsageContext, UserId, UserProfile};
+use smarteryou::sensors::{RawContext, TraceGenerator, UsageContext, UserId, UserProfile};
 
 const SEEDS: WorldSeeds = WorldSeeds {
     population: 0xE27011,
@@ -316,6 +317,50 @@ fn enroll_with_completes_enrollment_and_hits_the_shared_block() {
             "batched-enrolled pipeline must authenticate, got {outcome:?}"
         );
     }
+}
+
+/// `enroll_with` refuses rows that are not as wide as the features the
+/// pipeline extracts, even against a workspace whose negative pool is as
+/// narrow as they are: the fitted model would panic on the first scored
+/// window. The pipeline stays in enrollment.
+#[test]
+fn enroll_with_rejects_rows_the_pipeline_cannot_score() {
+    let world = build_world(1, WINDOW_SECS, SEEDS);
+    // Phone-only rows are 14 wide; the world's pipelines extract 28
+    // combined features.
+    let extractor = world.detector.extractor();
+    let mut gen = TraceGenerator::new(world.users[0].clone(), 0x9E0);
+    let mut phone_only = |raw: RawContext, n: usize| -> Vec<Vec<f64>> {
+        gen.generate_windows(raw, world.spec, n)
+            .iter()
+            .map(|w| extractor.auth_features(w, DeviceSet::PhoneOnly))
+            .collect()
+    };
+    let mut narrow_pool = TrainingServer::new();
+    for raw in [RawContext::SittingStanding, RawContext::MovingAround] {
+        narrow_pool.contribute(raw.coarse(), phone_only(raw, 30));
+    }
+    let ws = narrow_pool
+        .enrollment_workspace(&world.cfg, &mut StdRng::seed_from_u64(0xFACE))
+        .expect("workspace builds");
+    let buffers = [
+        phone_only(RawContext::SittingStanding, 20),
+        phone_only(RawContext::MovingAround, 20),
+    ];
+
+    let mut pipeline = world.pipeline_with(
+        0x0DD1,
+        ResponsePolicy {
+            rejects_to_lock: usize::MAX,
+        },
+        None,
+    );
+    let result = pipeline.enroll_with(&ws, buffers);
+    assert!(
+        matches!(result, Err(CoreError::InvalidConfig(_))),
+        "expected InvalidConfig, got {result:?}"
+    );
+    assert_eq!(pipeline.phase(), SystemPhase::Enrollment);
 }
 
 #[test]

@@ -1,6 +1,10 @@
 //! Integration tests asserting the *shape* of the paper's headline results
-//! at a reduced scale (see DESIGN.md "Calibration targets"). These span all
-//! crates: simulator → features → ML → experiment harness.
+//! at a reduced scale. The simulator is tuned to the paper's bands by the
+//! population constants in `crates/sensors/src/profile.rs` (`calibration`)
+//! and the generator's noise scale (`GeneratorConfig::noise_scale`); the
+//! `calibrate` bin (`crates/bench/src/bin/calibrate.rs`) prints the
+//! headline numbers at a chosen scale. These span all crates: simulator →
+//! features → ML → experiment harness.
 
 use smarteryou::core::experiment::{
     collect_population_features, evaluate_authentication, ExperimentConfig,

@@ -222,14 +222,15 @@ fn field_mut<'v>(object: &'v mut Value, key: &str) -> &'v mut Value {
 }
 
 /// A decoded snapshot bypasses the `SystemConfig::with_*` builders, so
-/// restore must reject every configuration they would: the golden fixture
-/// with one out-of-range configuration edit restores to a typed
-/// `InvalidConfig`, never a panic or a pipeline that scores.
+/// restore must reject every configuration they would, and every
+/// configuration that disagrees with the snapshot's own models: the golden
+/// fixture with one out-of-range or mismatched configuration edit restores
+/// to a typed `InvalidConfig`, never a panic or a pipeline that scores.
 #[test]
 fn restore_rejects_out_of_range_configurations() {
     let json = std::fs::read_to_string(snapshot_path()).expect("golden fixture");
     let golden: Value = serde_json::from_str(&json).expect("golden fixture parses");
-    let cases: [(&str, &[(&str, Value)]); 5] = [
+    let cases: [(&str, &[(&str, Value)]); 6] = [
         // 2 s × 50 Hz → -2 s × -50 Hz keeps the 100-sample window.
         (
             "negative window and rate",
@@ -242,6 +243,12 @@ fn restore_rejects_out_of_range_configurations() {
         ("zero rho", &[("rho", Value::Float(0.0))]),
         ("zero data size", &[("data_size", Value::Int(0))]),
         ("data size 2", &[("data_size", Value::Int(2))]),
+        // The fixture's models score 28 combined features; phone-only
+        // extraction yields 14.
+        (
+            "device set narrower than the models",
+            &[("device_set", Value::Str("PhoneOnly".into()))],
+        ),
     ];
     for (label, edits) in cases {
         let mut value = golden.clone();
